@@ -58,7 +58,7 @@ def main() -> None:
         for images, labels in loader:
             loss_fn(model(images), labels)
             optimizer.zero_grad()
-            model.backward(loss_fn.backward())
+            model.backward(loss_fn.backward(), input_grad=False)
             optimizer.step()
 
     eval_set = semantic_backdoor_eval_set(test, feature, victim, attack)

@@ -80,7 +80,7 @@ def centralized_fine_pruning(
         for images, labels in loader:
             loss_fn(model(images), labels)
             optimizer.zero_grad()
-            model.backward(loss_fn.backward())
+            model.backward(loss_fn.backward(), input_grad=False)
             optimizer.step()
     model.eval()
     for conv in model.conv_layers():

@@ -209,7 +209,7 @@ def unlearn_trigger(
         for batch_images, batch_labels in loader:
             loss_fn(model(batch_images), batch_labels)
             optimizer.zero_grad()
-            model.backward(loss_fn.backward())
+            model.backward(loss_fn.backward(), input_grad=False)
             optimizer.step()
     model.eval()
 

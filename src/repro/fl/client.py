@@ -138,7 +138,7 @@ class Client:
             for images, labels in loader:
                 loss_fn(model(images), labels)
                 optimizer.zero_grad()
-                model.backward(loss_fn.backward())
+                model.backward(loss_fn.backward(), input_grad=False)
                 self._post_step(model)
                 optimizer.step()
         self._post_training(model)

@@ -123,7 +123,15 @@ class Conv2d(Module):
         self._cache = (x.shape, cols)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Accumulate weight/bias gradients; return the input gradient.
+
+        ``input_grad=False`` skips the input gradient (its GEMM and
+        :func:`~repro.nn.functional.col2im`) and returns ``None`` — for a
+        first layer whose input gradient the caller would discard.
+        """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x_shape, cols = self._cache
@@ -135,6 +143,8 @@ class Conv2d(Module):
         grad_weight = (grad_2d.T @ cols).reshape(self.weight.shape)
         self.weight.grad += grad_weight * self.out_mask[:, None, None, None]
         self.bias.grad += grad_2d.sum(axis=0) * self.out_mask
+        if not input_grad:
+            return None
 
         grad_cols = grad_2d @ self._masked_weight_2d()
         k = self.kernel_size
@@ -259,31 +269,13 @@ class MaxPool2d(Module):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        k = self.kernel_size
-        plan = F.conv_plan(h, w, k, k, self.stride, 0)
-        out_h, out_w = plan.out_h, plan.out_w
-
-        cols = F.im2col(x, k, k, self.stride, 0)
-        cols = cols.reshape(-1, c, k * k)
-        argmax = cols.argmax(axis=2)
-        out = np.take_along_axis(cols, argmax[:, :, None], axis=2)[:, :, 0]
-        out = out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
-        self._cache = (x.shape, argmax)
+        out, self._cache = F.maxpool2d_forward(x, self.kernel_size, self.stride)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        x_shape, argmax = self._cache
-        n, c, out_h, out_w = grad_output.shape
-        k = self.kernel_size
-
-        grad_cols = np.zeros((n * out_h * out_w, c, k * k), dtype=grad_output.dtype)
-        flat_grad = grad_output.transpose(0, 2, 3, 1).reshape(-1, c)
-        np.put_along_axis(grad_cols, argmax[:, :, None], flat_grad[:, :, None], axis=2)
-        grad_cols = grad_cols.reshape(n * out_h * out_w, c * k * k)
-        return F.col2im(grad_cols, x_shape, k, k, self.stride, 0)
+        return F.maxpool2d_backward(grad_output, self._cache)
 
     def __repr__(self) -> str:
         return f"MaxPool2d(kernel_size={self.kernel_size}, stride={self.stride})"
@@ -388,19 +380,36 @@ class Sequential(Module):
             x = layer(x)
         return x
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Backpropagate through every layer, last to first.
+
+        Returns the gradient with respect to the model input.  Training
+        loops that discard it pass ``input_grad=False``: a first
+        :class:`Conv2d` then skips its input-gradient GEMM and col2im,
+        and the call returns ``None``.  Parameter gradients are the same
+        either way.
+        """
         # the per-layer backward chain is the one place layer backward
         # calls funnel through, so the profiling hook lives here (the
         # forward twin sits in Module.__call__); one global load per
         # backward pass keeps the off path free
         hook = _module._PROFILE_HOOK
+        layers = self.layers
+        skip_first = not input_grad and bool(layers) and isinstance(layers[0], Conv2d)
+        chain = layers[:0:-1] if skip_first else layers[::-1]
         if hook is None:
-            for layer in reversed(self.layers):
+            for layer in chain:
                 grad_output = layer.backward(grad_output)
+            if skip_first:
+                layers[0].backward(grad_output, input_grad=False)
         else:
-            for layer in reversed(self.layers):
+            for layer in chain:
                 grad_output = hook.profiled_backward(layer, grad_output)
-        return grad_output
+            if skip_first:
+                hook.profiled_weight_backward(layers[0], grad_output)
+        return grad_output if input_grad else None
 
     def __getitem__(self, index: int) -> Module:
         return self.layers[index]

@@ -16,6 +16,12 @@ formula here mirrors its scalar twin line by line:
   stack.  NumPy's matmul gufunc dispatches one GEMM per leading-axis
   slice with exactly the 2-D shapes the serial layer uses, so each
   slice's floats are the serial layer's floats.
+* The data-movement kernels are not copied at all: the conv twin
+  calls the same :func:`~repro.nn.functional.im2col` /
+  :func:`~repro.nn.functional.col2im`, and the max-pool twin the same
+  :func:`~repro.nn.functional.maxpool2d_forward` /
+  :func:`~repro.nn.functional.maxpool2d_backward`, as the serial
+  layers, on the flat ``K*b`` batch.
 * Reductions (`bias.grad`, delta flattening) reduce *per client* —
   ``sum(axis=1)`` of a ``(K, rows, C)`` stack is elementwise identical
   to ``sum(axis=0)`` of each ``(rows, C)`` slice.
@@ -188,13 +194,20 @@ class _WaveModel:
             x = handler.forward(x)
         return x
 
-    def backward(self, grad: np.ndarray, apply_penalty: bool = False) -> np.ndarray:
+    def backward(self, grad: np.ndarray, apply_penalty: bool = False) -> None:
+        """Accumulate every stacked gradient; the input gradient is not
+        needed, so a first convolution skips it (as the serial
+        ``Sequential.backward(..., input_grad=False)`` does)."""
         if apply_penalty and self.penalty_index is not None:
             i = self.penalty_index
             self.grads[i] += 2.0 * self.penalty_coefficient * self.stacks[i]
-        for handler in reversed(self.handlers):
+        first, *rest = self.handlers
+        for handler in reversed(rest):
             grad = handler.backward(grad)
-        return grad
+        if isinstance(first, _VConv2d):
+            first.backward(grad, input_grad=False)
+        else:
+            first.backward(grad)
 
     def zero_grad(self) -> None:
         for grad in self.grads:
@@ -264,7 +277,9 @@ class _VConv2d:
         self._cache = (x.shape, cols3, weight_3d)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
         wave = self.wave
         x_shape, cols3, weight_3d = self._cache
         grad_2d = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
@@ -278,6 +293,8 @@ class _VConv2d:
             * self.mask[None, :, None, None, None]
         )
         wave.grads[self.b_index] += grad_3d.sum(axis=1) * self.mask
+        if not input_grad:
+            return None
 
         grad_cols = np.matmul(grad_3d, weight_3d)
         grad_cols = grad_cols.reshape(-1, grad_cols.shape[2])
@@ -346,10 +363,11 @@ class _VTanh:
 
 
 class _VMaxPool2d:
-    """Parameter-free and row-independent: the serial code verbatim on
-    the flat ``K*b`` batch (each receptive-field row belongs to one
-    client, so batching clients is indistinguishable from a bigger
-    batch)."""
+    """Parameter-free and row-independent: the shared
+    :func:`~repro.nn.functional.maxpool2d_forward` /
+    :func:`~repro.nn.functional.maxpool2d_backward` kernels on the flat
+    ``K*b`` batch (each window belongs to one client, so batching
+    clients is indistinguishable from a bigger batch)."""
 
     def __init__(self, layer: MaxPool2d, wave: _WaveModel, index_of: dict) -> None:
         self.kernel = layer.kernel_size
@@ -357,30 +375,11 @@ class _VMaxPool2d:
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        k = self.kernel
-        plan = F.conv_plan(h, w, k, k, self.stride, 0)
-        out_h, out_w = plan.out_h, plan.out_w
-        cols = F.im2col(x, k, k, self.stride, 0).reshape(-1, c, k * k)
-        argmax = cols.argmax(axis=2)
-        out = np.take_along_axis(cols, argmax[:, :, None], axis=2)[:, :, 0]
-        out = out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
-        self._cache = (x.shape, argmax)
+        out, self._cache = F.maxpool2d_forward(x, self.kernel, self.stride)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        x_shape, argmax = self._cache
-        n, c, out_h, out_w = grad_output.shape
-        k = self.kernel
-        grad_cols = np.zeros(
-            (n * out_h * out_w, c, k * k), dtype=grad_output.dtype
-        )
-        flat_grad = grad_output.transpose(0, 2, 3, 1).reshape(-1, c)
-        np.put_along_axis(
-            grad_cols, argmax[:, :, None], flat_grad[:, :, None], axis=2
-        )
-        grad_cols = grad_cols.reshape(n * out_h * out_w, c * k * k)
-        return F.col2im(grad_cols, x_shape, k, k, self.stride, 0)
+        return F.maxpool2d_backward(grad_output, self._cache)
 
 
 class _VAvgPool2d:

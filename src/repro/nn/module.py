@@ -31,9 +31,10 @@ __all__ = ["Parameter", "Module", "set_profile_hook", "get_profile_hook"]
 # The opt-in layer-profiling hook (see repro.obs.profile.LayerProfiler).
 # None keeps the forward/backward hot path at one global load + identity
 # check per call — the "off by default, <2% overhead" contract.  When
-# set, the hook's profiled_forward/profiled_backward run the layer and
-# time it; the framework never imports repro.obs, so the dependency
-# points obs -> nn only.
+# set, the hook's profiled_forward/profiled_backward (and
+# profiled_weight_backward, for a first layer run without its input
+# gradient) run the layer and time it; the framework never imports
+# repro.obs, so the dependency points obs -> nn only.
 _PROFILE_HOOK = None
 
 
@@ -60,7 +61,9 @@ class Parameter:
     Attributes
     ----------
     data:
-        The current value, always a ``float64`` ndarray.
+        The current value, an ndarray of the default floating dtype
+        (:func:`~repro.nn.config.get_default_dtype`, ``float32`` unless
+        changed) at the time the parameter was built.
     grad:
         Accumulated gradient of the loss with respect to ``data``; the
         same shape as ``data``.  Optimizers read it, ``zero_grad`` resets

@@ -140,12 +140,26 @@ class LayerProfiler:
             return module.backward(grad_output)
         start = self._clock()
         grad_input = module.backward(grad_output)
+        self._record_backward(module, grad_output, self._clock() - start)
+        return grad_input
+
+    def profiled_weight_backward(self, module, grad_output) -> None:
+        """Time ``module.backward(grad_output, input_grad=False)``.
+
+        :meth:`Sequential.backward <repro.nn.layers.Sequential.backward>`
+        calls this for a first layer whose input gradient the caller
+        discards; it lands in the same row as :meth:`profiled_backward`.
+        """
+        start = self._clock()
+        module.backward(grad_output, input_grad=False)
         elapsed = self._clock() - start
+        self._record_backward(module, grad_output, elapsed)
+
+    def _record_backward(self, module, grad_output, elapsed: float) -> None:
         entry = self._entry(_layer_key(module, grad_output))
         entry["backward_calls"] += 1
         entry["backward_seconds"] += elapsed
         entry["grad_bytes"] += getattr(grad_output, "nbytes", 0)
-        return grad_input
 
     def _entry(self, key: str) -> dict:
         entry = self.stats.get(key)

@@ -174,10 +174,14 @@ class TestConvPlanCache:
                 F.conv_plan(2, 2, 5, 5)
         assert not F._PLAN_CACHE
 
-    def test_disjoint_windows_skip_scatter(self):
-        # stride >= kernel: col2im windows never overlap, no scatter loop
-        assert F.conv_plan(8, 8, 2, 2, stride=2).scatter == ()
-        assert len(F.conv_plan(8, 8, 3, 3, stride=1).scatter) == 9
+    def test_taps_list_every_kernel_position_in_window_order(self):
+        plan = F.conv_plan(8, 8, 3, 3, stride=1)
+        assert [(y, x) for y, x, _, _ in plan.taps] == [
+            (y, x) for y in range(3) for x in range(3)
+        ]
+        # each tap's slices pick one position out of every window
+        _, _, rows, columns = F.conv_plan(8, 8, 2, 2, stride=2).taps[3]
+        assert (rows, columns) == (slice(1, 9, 2), slice(1, 9, 2))
 
     def test_cache_is_bounded(self):
         for size in range(F._PLAN_CACHE_MAX + 10):
@@ -325,3 +329,160 @@ class TestVectorizedLoopEquivalence:
             F.col2im(cols, images.shape, 3, 2, 1, 1),
             reference_col2im(cols, images.shape, 3, 2, 1, 1),
         )
+
+
+def reference_maxpool(images, kernel, stride):
+    """The argmax max-pool (the pre-slice algorithm).
+
+    Returns ``(out, backward)``: ``backward(grad_output)`` routes each
+    gradient to its window's first maximum and folds the columns back
+    per kernel position into zeros — by assignment when the windows are
+    disjoint (a winning ``-0.0`` keeps its sign), by accumulation when
+    they overlap.
+    """
+    n, c, h, w = images.shape
+    out_h = (h - kernel) // stride + 1
+    out_w = (w - kernel) // stride + 1
+    cols = reference_im2col(images, kernel, kernel, stride, 0)
+    cols = cols.reshape(-1, c, kernel * kernel)
+    argmax = cols.argmax(axis=2)
+    out = np.take_along_axis(cols, argmax[:, :, None], axis=2)[:, :, 0]
+    out = out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
+
+    def backward(grad_output):
+        grad_cols = np.zeros(
+            (n * out_h * out_w, c, kernel * kernel), dtype=grad_output.dtype
+        )
+        flat_grad = grad_output.transpose(0, 2, 3, 1).reshape(-1, c)
+        np.put_along_axis(
+            grad_cols, argmax[:, :, None], flat_grad[:, :, None], axis=2
+        )
+        windows = grad_cols.reshape(n, out_h, out_w, c, kernel, kernel)
+        grad_input = np.zeros(images.shape, dtype=grad_output.dtype)
+        for y in range(kernel):
+            for x in range(kernel):
+                rows = slice(y, y + stride * out_h, stride)
+                columns = slice(x, x + stride * out_w, stride)
+                tap = windows[:, :, :, :, y, x].transpose(0, 3, 1, 2)
+                if stride >= kernel:
+                    grad_input[:, :, rows, columns] = tap
+                else:
+                    grad_input[:, :, rows, columns] += tap
+        return grad_input
+
+    return out, backward
+
+
+def assert_bitwise(fast, slow):
+    """Same shape, dtype, strides and bit patterns (so ``-0.0`` and NaN
+    payloads count, which ``assert_array_equal`` would forgive)."""
+    assert fast.shape == slow.shape
+    assert fast.dtype == slow.dtype
+    assert fast.strides == slow.strides
+    np.testing.assert_array_equal(np.signbit(fast), np.signbit(slow))
+    assert fast.tobytes() == slow.tobytes()
+
+
+def pool_input(kind, shape, dtype, rng):
+    """A pooling input laid out channels-last, like a conv activation."""
+    n, c, h, w = shape
+    x = rng.standard_normal((n, h, w, c)).astype(dtype).transpose(0, 3, 1, 2)
+    if kind == "constant":  # every window one big tie
+        x[...] = 0.5
+    elif kind == "relu_zeros":  # post-ReLU zeros, some of them -0.0
+        x[...] = np.maximum(x, 0.0)
+        x[rng.random(x.shape) < 0.3] = -0.0
+    elif kind == "signed_zeros":  # windows of nothing but +-0.0
+        x[...] = np.where(rng.random(x.shape) < 0.5, -0.0, 0.0)
+    elif kind == "nan":
+        x[0, 0, 1, 1] = np.nan
+        x[-1, -1, 0, 0] = np.nan
+    return x
+
+
+class TestMaxPoolKernels:
+    """The pool kernels against the argmax reference: values, sign bits
+    and strides, forward and backward, serial layer and megabatch twin."""
+
+    @staticmethod
+    def _pool(engine, kernel, stride):
+        from repro.nn.layers import MaxPool2d
+        from repro.nn.megabatch import _VMaxPool2d
+
+        layer = MaxPool2d(kernel, stride)
+        return layer if engine == "serial" else _VMaxPool2d(layer, None, {})
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "kernel,stride,size", [(2, 2, 8), (3, 3, 9), (3, 1, 7), (3, 2, 9)]
+    )
+    @pytest.mark.parametrize(
+        "kind", ["random", "constant", "relu_zeros", "signed_zeros", "nan"]
+    )
+    @pytest.mark.parametrize("engine,batch", [("serial", 3), ("megabatch", 4 * 3)])
+    def test_matches_reference(self, dtype, kernel, stride, size, kind, engine, batch):
+        rng = np.random.default_rng(kernel * 10 + stride)
+        x = pool_input(kind, (batch, 4, size, size), dtype, rng)
+        pool = self._pool(engine, kernel, stride)
+        slow_out, slow_backward = reference_maxpool(x, kernel, stride)
+        assert_bitwise(pool.forward(x), slow_out)
+
+        grad = rng.standard_normal(slow_out.shape).astype(dtype)
+        grad[..., 0] = -0.0  # a gradient's sign of zero must survive routing
+        assert_bitwise(pool.backward(grad), slow_backward(grad))
+
+    def test_winner_index_is_compact(self):
+        x = pool_input("random", (4, 3, 8, 8), np.float32, np.random.default_rng(0))
+        _, (_, _, _, winner) = F.maxpool2d_forward(x, 2, 2)
+        assert winner.dtype == np.uint8
+        assert winner.shape == (4, 3, 4, 4)  # one byte per output, no input copy
+
+
+class TestStridesPin:
+    """Kernels return the reference loops' strides: Neural Cleanse sums its
+    input gradient in memory order (``neural_cleanse.py``), so a different
+    layout would change its floats."""
+
+    GEOMETRIES = [(3, 1, 1), (5, 1, 2), (2, 2, 0), (3, 2, 1), (1, 1, 0)]
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
+    def test_col2im_strides(self, kernel, stride, padding, channels):
+        size = kernel + 3 * stride - 2 * padding
+        shape = (2, channels, size, size)
+        cols = np.ones((2 * 16, channels * kernel * kernel), dtype=np.float32)
+        fast = F.col2im(cols, shape, kernel, kernel, stride, padding)
+        slow = reference_col2im(cols, shape, kernel, kernel, stride, padding)
+        assert fast.strides == slow.strides
+
+    @pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
+    def test_im2col_is_c_contiguous(self, kernel, stride, padding):
+        size = kernel + 3 * stride - 2 * padding
+        rng = np.random.default_rng(0)
+        # channels-last input, like every activation after the first conv
+        x = rng.standard_normal((2, size, size, 3)).transpose(0, 3, 1, 2)
+        assert F.im2col(x, kernel, kernel, stride, padding).flags.c_contiguous
+
+    def test_maxpool_layer_strides(self):
+        from repro.nn.layers import MaxPool2d
+
+        x = pool_input("random", (2, 3, 8, 8), np.float32, np.random.default_rng(0))
+        pool = MaxPool2d(2)
+        out = pool.forward(x)
+        slow_out, slow_backward = reference_maxpool(x, 2, 2)
+        assert out.strides == slow_out.strides
+        grad = np.ones(out.shape, dtype=np.float32)
+        assert pool.backward(grad).strides == slow_backward(grad).strides
+
+    @pytest.mark.parametrize("kernel,padding", [(3, 1), (5, 2)])
+    def test_conv2d_backward_strides(self, kernel, padding):
+        from repro.nn.layers import Conv2d
+
+        rng = np.random.default_rng(0)
+        conv = Conv2d(3, 4, kernel_size=kernel, padding=padding, rng=rng)
+        x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+        out = conv.forward(x)
+        grad_input = conv.backward(np.ones_like(out))
+        cols = np.zeros((2 * 36, 3 * kernel * kernel), dtype=np.float32)
+        slow = reference_col2im(cols, x.shape, kernel, kernel, 1, padding)
+        assert grad_input.strides == slow.strides

@@ -42,6 +42,18 @@ class TestConv2d:
         errors = check_layer_gradients(layer, rng.standard_normal((2, 1, 6, 6)), rng)
         assert max(errors.values()) < GRAD_TOL
 
+    def test_backward_without_input_grad(self, rng):
+        conv = nn.Conv2d(2, 3, kernel_size=3, padding=1, rng=rng)
+        x = rng.random((2, 2, 5, 5))
+        grad = rng.random((2, 3, 5, 5))
+        conv.forward(x)
+        assert conv.backward(grad).shape == x.shape
+        weight_grad = conv.weight.grad.copy()
+        conv.zero_grad()
+        conv.forward(x)
+        assert conv.backward(grad, input_grad=False) is None
+        np.testing.assert_array_equal(conv.weight.grad, weight_grad)
+
     def test_known_convolution_value(self):
         layer = nn.Conv2d(1, 1, kernel_size=2)
         layer.weight.data[...] = 1.0
@@ -182,6 +194,31 @@ class TestSequential:
         assert out.shape == (2, 5)
         grad = tiny_cnn.backward(np.ones_like(out))
         assert grad.shape == x.shape
+
+    def test_without_input_grad_same_parameter_grads(self, rng):
+        """``input_grad=False`` skips only the first conv's input gradient."""
+        x = rng.random((3, 1, 8, 8))
+        grads = {}
+        for input_grad in (True, False):
+            model = nn.Sequential(
+                nn.Conv2d(1, 4, kernel_size=3, padding=1, rng=np.random.default_rng(1)),
+                nn.ReLU(),
+                nn.MaxPool2d(2),
+                nn.Flatten(),
+                nn.Linear(4 * 4 * 4, 5, rng=np.random.default_rng(2)),
+            )
+            out = model(x)
+            result = model.backward(np.ones_like(out), input_grad=input_grad)
+            assert (result is None) == (not input_grad)
+            grads[input_grad] = [p.grad.copy() for p in model.parameters()]
+        for with_input, without_input in zip(grads[True], grads[False]):
+            assert with_input.tobytes() == without_input.tobytes()
+
+    def test_without_input_grad_non_conv_first_layer(self, rng):
+        model = nn.Sequential(nn.Flatten(), nn.Linear(4, 2, rng=rng))
+        out = model(rng.random((2, 1, 2, 2)))
+        assert model.backward(np.ones_like(out), input_grad=False) is None
+        assert model[1].weight.grad.any()
 
     def test_indexing_and_len(self, tiny_cnn):
         assert len(tiny_cnn) == 8

@@ -92,6 +92,22 @@ class TestAggregation:
         assert "ReLU(4,8,8)" in prof.stats  # activation shape, no batch dim
         assert "MaxPool2d(4,4,4)" in prof.stats  # output shape
 
+    def test_first_conv_recorded_without_input_grad(self):
+        """Training loops skip layer 0's input gradient; its backward
+        still lands in the profile, and the gradients do not change."""
+        x = np.random.default_rng(1).random((5, 1, 8, 8))
+        plain = make_model()
+        plain.backward(np.ones_like(plain(x)), input_grad=False)
+        profiled = make_model()
+        with LayerProfiler() as prof:
+            out = profiled(x)
+            assert profiled.backward(np.ones_like(out), input_grad=False) is None
+        conv = prof.stats["Conv2d(4,1,3,3)"]
+        assert conv["backward_calls"] == 1
+        assert conv["grad_bytes"] == 5 * 4 * 8 * 8 * 8
+        for plain_p, prof_p in zip(plain.parameters(), profiled.parameters()):
+            assert np.array_equal(plain_p.grad, prof_p.grad)
+
     def test_container_not_double_counted(self):
         with LayerProfiler() as prof:
             forward_backward(make_model())
