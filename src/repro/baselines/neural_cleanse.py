@@ -93,8 +93,9 @@ def reconstruct_trigger(
     """Optimize a (mask, pattern) pair driving ``dataset`` to ``target_label``.
 
     Runs ``steps`` Adam steps, one mini-batch per step (cycling through
-    the dataset).  The model's own parameters are left untouched — their
-    accumulated gradients are discarded after each step.
+    the dataset).  The model's own parameters are left untouched: they
+    are frozen (``requires_grad`` False) for the loop, so backward
+    computes only the input gradient, and their gradients stay zero.
     """
     if len(dataset) == 0:
         raise ValueError("need data to reconstruct a trigger")
@@ -108,9 +109,14 @@ def reconstruct_trigger(
     optimizer = Adam([raw_mask, raw_pattern], lr=lr)
     loss_fn = CrossEntropyLoss()
 
+    params = model.parameters()
+    frozen = [param.requires_grad for param in params]
+    model.zero_grad()
     was_training = model.training
     model.eval()
     try:
+        for param in params:
+            param.requires_grad = False
         loader = DataLoader(dataset, batch_size=batch_size, shuffle=True, rng=rng)
         batches = iter(loader)
         for _ in range(steps):
@@ -126,9 +132,7 @@ def reconstruct_trigger(
             targets = np.full(images.shape[0], target_label, dtype=np.int64)
 
             loss_fn(model(stamped), targets)
-            model.zero_grad()
             grad_input = model.backward(loss_fn.backward())  # (n, c, h, w)
-            model.zero_grad()  # model parameters are not being trained
 
             # chain rule through the stamping equation
             grad_pattern = (grad_input * mask).sum(axis=0)
@@ -141,6 +145,8 @@ def reconstruct_trigger(
             raw_pattern.grad[...] = grad_pattern * _tanh_unit_grad(raw_pattern.data)
             optimizer.step()
     finally:
+        for param, requires_grad in zip(params, frozen):
+            param.requires_grad = requires_grad
         if was_training:
             model.train()
 

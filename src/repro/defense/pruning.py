@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..data.dataset import Dataset
-from ..eval.metrics import test_accuracy
+from ..eval.metrics import AccuracyEvaluator
 from ..fl.executor import ClientExecutor, collect_reports
 from ..nn.layers import Conv2d, Linear, Sequential
 from ..obs.telemetry import Telemetry, ensure_telemetry
@@ -185,10 +185,12 @@ def client_feedback_accuracy(
 
 def server_validation_accuracy(
     validation: Dataset, batch_size: int = 256
-) -> Callable[[Sequential], float]:
-    """Accuracy oracle closure over a server-held validation set."""
+) -> AccuracyEvaluator:
+    """Accuracy oracle over a server-held validation set.
 
-    def accuracy_fn(model: Sequential) -> float:
-        return test_accuracy(model, validation, batch_size=batch_size)
-
-    return accuracy_fn
+    An :class:`~repro.eval.metrics.AccuracyEvaluator`: FP and AW edit
+    only the target layer, so each oracle call after the first resumes
+    at that layer's stored input (or returns the stored accuracy when
+    nothing changed), bitwise equal to a full ``test_accuracy`` pass.
+    """
+    return AccuracyEvaluator(validation, batch_size)

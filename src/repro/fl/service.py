@@ -66,9 +66,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..attacks.poison import BackdoorTask
+from ..attacks.poison import BackdoorTask, backdoor_eval_set
 from ..data.dataset import Dataset
-from ..eval.metrics import attack_success_rate, test_accuracy
+# test_accuracy/attack_success_rate are unused here but stay importable
+# from this module: perfbench's traced run wraps them where they are
+# looked up (perfbench/workloads.py, install_module_spans)
+from ..eval.metrics import (  # noqa: F401
+    AccuracyEvaluator,
+    attack_success_rate,
+    test_accuracy,
+)
 from ..nn.layers import Sequential
 from ..nn.serialization import apply_model_state, pack_model_state
 from ..obs.context import RunContext, current_context
@@ -578,7 +585,9 @@ class DefenseService:
         cohort, not the population.
     accuracy_fn:
         Validation oracle handed to the incremental cleanse pipeline;
-        defaults to test accuracy on ``test_set``.
+        ``None`` (the default) uses test accuracy on ``test_set``,
+        served by the same :class:`~repro.eval.metrics.AccuracyEvaluator`
+        as the periodic evaluation.
     context:
         :class:`~repro.obs.context.RunContext` supplying telemetry,
         executor, checkpoint manager and the resume flag; ``None`` uses
@@ -624,11 +633,13 @@ class DefenseService:
         )
         self.traffic = traffic
         self.network = network
-        self.accuracy_fn = (
-            accuracy_fn
-            if accuracy_fn is not None
-            else (lambda m: test_accuracy(m, test_set))
-        )
+        # None selects the TA evaluator at cleanse time; storing the
+        # bound method here would make the service a reference cycle,
+        # freed only by the cyclic collector
+        self.accuracy_fn = accuracy_fn
+        # (TA, ASR) evaluators over test_set, built by the first
+        # evaluation: a service that never evaluates needs no test set
+        self._evaluators: tuple | None = None
         ctx = context if context is not None else current_context()
         self.context = ctx
         self.telemetry = ctx.telemetry
@@ -710,6 +721,19 @@ class DefenseService:
                 continue
             participants.append(client)
         return participants, probation
+
+    # -- evaluation ----------------------------------------------------
+
+    def _evaluator_pair(self) -> tuple[AccuracyEvaluator, AccuracyEvaluator | None]:
+        """The (TA, ASR) evaluators; the triggered set is built once."""
+        if self._evaluators is None:
+            attack = None
+            if self.backdoor_task is not None:
+                attack = AccuracyEvaluator(
+                    backdoor_eval_set(self.test_set, self.backdoor_task)
+                )
+            self._evaluators = (AccuracyEvaluator(self.test_set), attack)
+        return self._evaluators
 
     # -- strike path (PR 1 machinery, service-side ledger) -------------
 
@@ -1289,11 +1313,10 @@ class DefenseService:
             attack_acc: float | None = None
             if cfg.eval_every and (round_index + 1) % cfg.eval_every == 0:
                 with tel.span("service.evaluation", round=round_index):
-                    test_acc = test_accuracy(self.model, self.test_set)
-                    if self.backdoor_task is not None:
-                        attack_acc = attack_success_rate(
-                            self.model, self.backdoor_task, self.test_set
-                        )
+                    test_eval, attack_eval = self._evaluator_pair()
+                    test_acc = test_eval(self.model)
+                    if attack_eval is not None:
+                        attack_acc = attack_eval(self.model)
 
             tel.record_span(
                 "service.commit_latency",
@@ -1476,9 +1499,12 @@ class DefenseService:
                 aw_delta_start=3.0,
                 aw_delta_min=2.0,
             )
+        accuracy_fn = self.accuracy_fn
+        if accuracy_fn is None:
+            accuracy_fn = self._evaluator_pair()[0]
         pipeline = DefensePipeline(
             clients,
-            self.accuracy_fn,
+            accuracy_fn,
             defense_config,
             context=RunContext(telemetry=tel, executor=self.executor),
         )

@@ -72,8 +72,10 @@ class BatchNorm2d(Module):
             raise RuntimeError("backward called before forward")
         x_hat, inv_std, was_training = self._cache
 
-        self.gamma.grad += (grad_output * x_hat).sum(axis=(0, 2, 3))
-        self.beta.grad += grad_output.sum(axis=(0, 2, 3))
+        if self.gamma.requires_grad:
+            self.gamma.grad += (grad_output * x_hat).sum(axis=(0, 2, 3))
+        if self.beta.requires_grad:
+            self.beta.grad += grad_output.sum(axis=(0, 2, 3))
 
         grad_x_hat = grad_output * self.gamma.data[None, :, None, None]
         if not was_training:

@@ -128,6 +128,7 @@ class Conv2d(Module):
     ) -> np.ndarray | None:
         """Accumulate weight/bias gradients; return the input gradient.
 
+        A parameter with ``requires_grad`` False gets no gradient.
         ``input_grad=False`` skips the input gradient (its GEMM and
         :func:`~repro.nn.functional.col2im`) and returns ``None`` — for a
         first layer whose input gradient the caller would discard.
@@ -140,9 +141,11 @@ class Conv2d(Module):
         grad_2d = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
         grad_2d = grad_2d * self.out_mask  # masked channels learn nothing
 
-        grad_weight = (grad_2d.T @ cols).reshape(self.weight.shape)
-        self.weight.grad += grad_weight * self.out_mask[:, None, None, None]
-        self.bias.grad += grad_2d.sum(axis=0) * self.out_mask
+        if self.weight.requires_grad:
+            grad_weight = (grad_2d.T @ cols).reshape(self.weight.shape)
+            self.weight.grad += grad_weight * self.out_mask[:, None, None, None]
+        if self.bias.requires_grad:
+            self.bias.grad += grad_2d.sum(axis=0) * self.out_mask
         if not input_grad:
             return None
 
@@ -203,8 +206,10 @@ class Linear(Module):
         if self._input is None:
             raise RuntimeError("backward called before forward")
         grad_output = grad_output * self.out_mask
-        self.weight.grad += grad_output.T @ self._input
-        self.bias.grad += grad_output.sum(axis=0)
+        if self.weight.requires_grad:
+            self.weight.grad += grad_output.T @ self._input
+        if self.bias.requires_grad:
+            self.bias.grad += grad_output.sum(axis=0)
         return grad_output @ self.weight.data
 
     def apply_mask(self) -> None:

@@ -121,7 +121,11 @@ def train_wave(model, clients, global_params: np.ndarray) -> np.ndarray:
             wave.zero_grad()
             wave.backward(_cross_entropy_grad(logits, y, batch), apply_penalty=True)
             wave.step()
-    return wave.deltas(global_params)
+    deltas = wave.deltas(global_params)
+    # each handler points back at the wave: dropping the handlers frees
+    # their activation caches now, not at the next cyclic collection
+    wave.handlers.clear()
+    return deltas
 
 
 def _cross_entropy_grad(

@@ -76,7 +76,15 @@ class Parameter:
         must bump it via :meth:`mark_dirty`; layers that cache derived
         tensors (e.g. :class:`~repro.nn.layers.Conv2d`'s masked weight
         matrix) key their caches on it.
+    requires_grad:
+        When False, layers skip this parameter's gradient on backward
+        and leave ``grad`` untouched; input gradients are unchanged.
+        Neural Cleanse freezes the model this way while it optimizes a
+        trigger.  A class attribute, so pickled or cloned parameters
+        that predate it read True.
     """
+
+    requires_grad = True
 
     def __init__(self, data: np.ndarray, name: str = "") -> None:
         self.data = np.asarray(data, dtype=get_default_dtype())

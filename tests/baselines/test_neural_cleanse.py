@@ -1,5 +1,7 @@
 """Tests for the Neural Cleanse baseline."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,46 @@ from repro.baselines.neural_cleanse import (
     reconstruct_trigger,
     unlearn_trigger,
 )
-from repro.data.dataset import Dataset
+from repro.baselines.neural_cleanse import _tanh_unit, _tanh_unit_grad
+from repro.data.dataset import DataLoader, Dataset
+from repro.nn.losses import CrossEntropyLoss
+from repro.nn.module import Parameter
+from repro.nn.optim import Adam
+
+
+def _unfrozen_reconstruction(model, dataset, target_label, steps, rng):
+    """The trigger loop as written before parameter freezing: every step
+    computes the parameter gradients and discards them (``zero_grad``)."""
+    channels, height, width = dataset.images.shape[1:]
+    raw_mask = Parameter(rng.normal(-2.0, 0.1, size=(height, width)))
+    raw_pattern = Parameter(rng.normal(0.0, 0.1, size=(channels, height, width)))
+    optimizer = Adam([raw_mask, raw_pattern], lr=0.1)
+    loss_fn = CrossEntropyLoss()
+    model.eval()
+    loader = DataLoader(dataset, batch_size=64, shuffle=True, rng=rng)
+    batches = iter(loader)
+    for _ in range(steps):
+        try:
+            images, _ = next(batches)
+        except StopIteration:
+            batches = iter(loader)
+            images, _ = next(batches)
+        mask = _tanh_unit(raw_mask.data)
+        pattern = _tanh_unit(raw_pattern.data)
+        stamped = (1.0 - mask) * images + mask * pattern[None]
+        targets = np.full(images.shape[0], target_label, dtype=np.int64)
+        loss_fn(model(stamped), targets)
+        model.zero_grad()
+        grad_input = model.backward(loss_fn.backward())
+        model.zero_grad()
+        grad_pattern = (grad_input * mask).sum(axis=0)
+        grad_mask = (grad_input * (pattern[None] - images)).sum(axis=(0, 1))
+        grad_mask += 0.01 * np.sign(mask)
+        optimizer.zero_grad()
+        raw_mask.grad[...] = grad_mask * _tanh_unit_grad(raw_mask.data)
+        raw_pattern.grad[...] = grad_pattern * _tanh_unit_grad(raw_pattern.data)
+        optimizer.step()
+    return _tanh_unit(raw_mask.data), _tanh_unit(raw_pattern.data)
 
 
 class TestReconstructedTrigger:
@@ -88,6 +129,50 @@ class TestReconstructTrigger:
         empty = Dataset(np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=int))
         with pytest.raises(ValueError, match="need data"):
             reconstruct_trigger(tiny_cnn, empty, 0, rng=rng)
+
+    def test_frozen_loop_matches_unfrozen_reference(self, tiny_cnn, tiny_dataset):
+        """Freezing the model skips only parameter gradients: the trigger
+        is bitwise the one the per-step ``zero_grad`` loop produced."""
+        reference = copy.deepcopy(tiny_cnn)
+        trigger = reconstruct_trigger(
+            tiny_cnn, tiny_dataset, 2, steps=12, rng=np.random.default_rng(5)
+        )
+        mask, pattern = _unfrozen_reconstruction(
+            reference, tiny_dataset, 2, steps=12, rng=np.random.default_rng(5)
+        )
+        assert trigger.mask.tobytes() == mask.tobytes()
+        assert trigger.pattern.tobytes() == pattern.tobytes()
+        for param in tiny_cnn.parameters():
+            assert param.requires_grad
+            assert not param.grad.any()
+
+    def test_requires_grad_restored_after_exception(self, tiny_cnn, tiny_dataset, rng):
+        tiny_cnn[-1].weight.requires_grad = False  # a caller's own freeze
+        calls = {"n": 0}
+        forward = tiny_cnn[0].forward
+
+        def failing(x):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise RuntimeError("boom")
+            return forward(x)
+
+        tiny_cnn[0].forward = failing
+        tiny_cnn.train()
+        with pytest.raises(RuntimeError, match="boom"):
+            reconstruct_trigger(tiny_cnn, tiny_dataset, 1, steps=5, rng=rng)
+        flags = [param.requires_grad for param in tiny_cnn.parameters()]
+        assert flags == [True] * (len(flags) - 2) + [False, True]
+        assert tiny_cnn.training
+
+    def test_profiler_records_frozen_conv_backward(self, tiny_cnn, tiny_dataset, rng):
+        from repro.obs.profile import LayerProfiler
+
+        with LayerProfiler() as profiler:
+            reconstruct_trigger(tiny_cnn, tiny_dataset, 1, steps=4, rng=rng)
+        convs = [row for key, row in profiler.stats.items() if key.startswith("Conv2d")]
+        assert len(convs) == 2
+        assert all(row["backward_calls"] == 4 for row in convs)
 
 
 class TestUnlearnAndRun:

@@ -170,6 +170,30 @@ class TestWaveParity:
                 row, client.local_update(clone_module(model2), global_params)
             )
 
+    def test_wave_freed_without_cyclic_collector(self, monkeypatch):
+        """A finished wave, with its activation caches, is freed by
+        reference counting alone."""
+        import gc
+        import weakref
+
+        from repro.nn import megabatch
+
+        waves = []
+        init = megabatch._WaveModel.__init__
+
+        def tracking(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            waves.append(weakref.ref(self))
+
+        monkeypatch.setattr(megabatch._WaveModel, "__init__", tracking)
+        model, clients, _ = build_world(num_clients=3)
+        gc.disable()
+        try:
+            train_wave(model, clients, model.flat_parameters())
+            assert len(waves) == 1 and waves[0]() is None
+        finally:
+            gc.enable()
+
     def test_mixed_cohort_falls_back_per_client(self):
         """Faulty clients take the serial path inside a megabatch wave."""
         model, clients, _ = build_world()

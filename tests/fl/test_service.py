@@ -740,3 +740,45 @@ class TestChaosAcceptance:
         )
         assert proc_params.tobytes() == params.tobytes()
         assert proc_stream == stream
+
+
+class TestEvaluationCache:
+    def test_per_round_metrics_and_cleanse_match_full_passes(self):
+        """The service's cached TA/ASR equal full passes every round; the
+        rounds that commit nothing (the flash crowd) are exact hits."""
+        from repro.attacks.poison import BackdoorTask
+        from repro.attacks.triggers import pixel_pattern
+        from repro.eval.metrics import attack_success_rate, test_accuracy
+
+        model, clients, dataset, faults = make_chaos_world()
+        task = BackdoorTask(pixel_pattern(3, 8), victim_label=1, attack_label=0)
+        config = chaos_config()
+        config.eval_every = 1
+        service = DefenseService(
+            model,
+            clients,
+            dataset,
+            config,
+            backdoor_task=task,
+            traffic=chaos_traffic(),
+            context=RunContext(executor=SerialExecutor(), fault_model=faults),
+        )
+        assert service._evaluators is None  # built by the first evaluation
+        run_round = service.run_round
+        expected = []
+
+        def checked(round_index):
+            outcome = run_round(round_index)
+            expected.append((
+                test_accuracy(model, dataset),
+                attack_success_rate(model, task, dataset),
+            ))
+            return outcome
+
+        service.run_round = checked
+        history = service.run(CHAOS_ROUNDS)
+        assert history.cleansed_rounds and history.quorum_failed_rounds
+        assert [(r.test_acc, r.attack_acc) for r in history.rounds] == expected
+        test_eval, attack_eval = service._evaluators
+        assert test_eval.hits >= len(history.quorum_failed_rounds)
+        assert attack_eval.hits >= len(history.quorum_failed_rounds)

@@ -214,6 +214,24 @@ class TestSequential:
         for with_input, without_input in zip(grads[True], grads[False]):
             assert with_input.tobytes() == without_input.tobytes()
 
+    def test_frozen_parameters_get_no_gradient(self, tiny_cnn, rng):
+        """``requires_grad`` False skips parameter gradients only."""
+        x = rng.random((3, 1, 8, 8))
+        reference = tiny_cnn.backward(np.ones_like(tiny_cnn(x)))
+        tiny_cnn.zero_grad()
+        for param in tiny_cnn.parameters():
+            param.requires_grad = False
+        grad = tiny_cnn.backward(np.ones_like(tiny_cnn(x)))
+        assert grad.tobytes() == reference.tobytes()
+        assert not any(param.grad.any() for param in tiny_cnn.parameters())
+
+    def test_requires_grad_defaults_true_on_old_pickles(self, tiny_cnn):
+        import pickle
+
+        param = tiny_cnn[0].weight
+        assert "requires_grad" not in vars(param)  # the class default
+        assert pickle.loads(pickle.dumps(param)).requires_grad
+
     def test_without_input_grad_non_conv_first_layer(self, rng):
         model = nn.Sequential(nn.Flatten(), nn.Linear(4, 2, rng=rng))
         out = model(rng.random((2, 1, 2, 2)))

@@ -188,40 +188,35 @@ class TestMetricsMemoization:
 
         setup = build_setup("mnist", SMOKE, seed=3, rounds=1)
         first = setup.metrics()
-        assert setup.metrics() == first  # hit: same versions, same masks
+        assert setup.metrics() == first  # hit: same bytes, same masks
+        test_eval, attack_eval = setup._evaluators
+        assert test_eval.hits == attack_eval.hits == 1
 
         # flip a prune mask in place (no Parameter.version bump): the
-        # signature must notice and recompute
+        # fingerprint must notice and recompute
         layer = setup.model.last_conv()
         layer.out_mask[0] = False
         setup.metrics()  # recomputes against the masked model
+        assert test_eval.hits == 1
         layer.out_mask[0] = True
         assert setup.metrics() == first
 
-        # in-place weight surgery with mark_dirty invalidates too: the
-        # cached signature must change (metric *values* may coincide —
-        # a zeroed net can still score chance accuracy)
-        before = setup._metrics_cache[setup.model][0]
-        layer.weight.data[...] = 0.0
-        layer.weight.mark_dirty()
+        # in-place weight surgery invalidates too, with or without
+        # mark_dirty (metric *values* may coincide — a zeroed net can
+        # still score chance accuracy, so count the evaluations)
+        computed = test_eval.misses + test_eval.prefix_hits
+        layer.bias.data[...] = 0.0
         setup.metrics()
-        assert setup._metrics_cache[setup.model][0] != before
+        assert test_eval.misses + test_eval.prefix_hits == computed + 1
 
-    def test_metrics_cache_counts_real_evaluations(self, monkeypatch):
-        from repro.experiments import common
+    def test_metrics_cache_counts_real_evaluations(self):
         from repro.experiments.common import build_setup
         from repro.experiments.scale import SMOKE
 
         setup = build_setup("mnist", SMOKE, seed=3, rounds=1)
-        calls = {"n": 0}
-        real = common.test_accuracy
-
-        def counting(model, dataset, **kwargs):
-            calls["n"] += 1
-            return real(model, dataset, **kwargs)
-
-        monkeypatch.setattr(common, "test_accuracy", counting)
         setup.metrics()
         setup.metrics()
         setup.metrics()
-        assert calls["n"] == 1  # two repeats served from cache
+        for evaluator in setup._evaluators:
+            assert evaluator.misses == 1  # two repeats served from cache
+            assert evaluator.hits == 2
