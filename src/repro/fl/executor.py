@@ -226,11 +226,13 @@ class ProcessExecutor(ClientExecutor):
                 break
             attempt += 1
             if attempt > self.max_task_retries:
+                failure = "dying"
+                if self.task_timeout is not None:
+                    failure += f" or hanging past the {self.task_timeout}s deadline"
                 raise RuntimeError(
                     f"{len(pending)} worker task(s) still incomplete after "
                     f"{self.max_task_retries} re-dispatch(es) — workers "
-                    f"keep dying or hanging past the "
-                    f"{self.task_timeout}s deadline"
+                    f"keep {failure}"
                 )
             self.redispatches += len(pending)
         return results
@@ -305,8 +307,9 @@ class MegabatchExecutor(ClientExecutor):
     Training tasks are grouped by *megabatch signature* — identical
     dataset geometry and local-SGD hyper-parameters on a stock benign
     :class:`~repro.fl.client.Client` — and each group runs as single
-    stacked tensor ops sharing the global weights read-only (no
-    ``clone_module`` per client).  Anything that does not fit the
+    stacked tensor ops on one model clone whose parameters carry a
+    leading client axis (one ``clone_module`` per wave, not per
+    client).  Anything that does not fit the
     vectorized contract (malicious clients, fault stubs, empty datasets,
     dtype/hyper-parameter mismatches, unsupported layers, non-update
     work such as report collection) falls through to the exact serial

@@ -16,6 +16,18 @@ one flag per output channel/feature.  A masked-out channel:
 
 This is how the paper's federated pruning "removes" a neuron without
 physically reshaping downstream layers.
+
+Leading client axis
+-------------------
+:class:`Conv2d` and :class:`Linear` also train a megabatch wave of K
+clients (:mod:`repro.nn.megabatch`): there, each parameter's ``data``
+and ``grad`` are ``(K,) + shape`` stacks.  Layer inputs stay the flat
+``K*b`` batch, client ``k`` owning rows ``[k*b, (k+1)*b)``.  Both
+layers view weights as ``(K, out, ·)`` and their im2col columns or
+inputs as ``(K, rows, ·)``, and run each GEMM as one
+:func:`numpy.matmul` over the stack; a serial layer is the ``K = 1``
+case, whose single GEMM is the same BLAS call as a 2-D ``@``.
+Parameter-free layers are row-independent and never see K.
 """
 
 from __future__ import annotations
@@ -82,7 +94,9 @@ class Conv2d(Module):
         self._weight_2d_mask: bytes | None = None
 
     def _masked_weight_2d(self) -> np.ndarray:
-        """The masked weight matrix ``(out_channels, c*k*k)``, cached.
+        """The masked weight matrices ``(K, out_channels, c*k*k)``, cached.
+
+        One matrix per client on the leading axis (``K = 1`` serially).
 
         Forward and backward both need this product; recomputing it per
         pass doubles the masking cost for nothing.  The cache is keyed on
@@ -98,9 +112,10 @@ class Conv2d(Module):
             or self._weight_2d_version != self.weight.version
             or self._weight_2d_mask != mask_bytes
         ):
+            patch = self.in_channels * self.kernel_size**2
             self._weight_2d = (
                 self.weight.data * self.out_mask[:, None, None, None]
-            ).reshape(self.out_channels, -1)
+            ).reshape(-1, self.out_channels, patch)
             self._weight_2d_src = self.weight.data
             self._weight_2d_version = self.weight.version
             self._weight_2d_mask = mask_bytes
@@ -116,9 +131,11 @@ class Conv2d(Module):
         plan = F.conv_plan(h, w, k, k, self.stride, self.padding)
         out_h, out_w = plan.out_h, plan.out_w
 
-        cols = F.im2col(x, k, k, self.stride, self.padding)
         weight_2d = self._masked_weight_2d()
-        out = cols @ weight_2d.T + self.bias.data * self.out_mask
+        cols = F.im2col(x, k, k, self.stride, self.padding)
+        cols = cols.reshape(len(weight_2d), -1, cols.shape[1])
+        bias = (self.bias.data * self.out_mask).reshape(-1, 1, self.out_channels)
+        out = np.matmul(cols, weight_2d.transpose(0, 2, 1)) + bias
         out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
         self._cache = (x.shape, cols)
         return out
@@ -140,16 +157,23 @@ class Conv2d(Module):
 
         grad_2d = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
         grad_2d = grad_2d * self.out_mask  # masked channels learn nothing
+        grad_3d = grad_2d.reshape(len(cols), -1, self.out_channels)
 
         if self.weight.requires_grad:
-            grad_weight = (grad_2d.T @ cols).reshape(self.weight.shape)
-            self.weight.grad += grad_weight * self.out_mask[:, None, None, None]
+            grad_weight = np.matmul(grad_3d.transpose(0, 2, 1), cols)
+            self.weight.grad += (
+                grad_weight.reshape(self.weight.shape)
+                * self.out_mask[:, None, None, None]
+            )
         if self.bias.requires_grad:
-            self.bias.grad += grad_2d.sum(axis=0) * self.out_mask
+            self.bias.grad += (
+                grad_3d.sum(axis=1).reshape(self.bias.shape) * self.out_mask
+            )
         if not input_grad:
             return None
 
-        grad_cols = grad_2d @ self._masked_weight_2d()
+        grad_cols = np.matmul(grad_3d, self._masked_weight_2d())
+        grad_cols = grad_cols.reshape(-1, grad_cols.shape[2])
         k = self.kernel_size
         return F.col2im(grad_cols, x_shape, k, k, self.stride, self.padding)
 
@@ -194,23 +218,33 @@ class Linear(Module):
         self.out_mask = np.ones(out_features, dtype=bool)
         self._input: np.ndarray | None = None
 
+    def _weight_3d(self) -> np.ndarray:
+        """The weight matrices ``(K, out_features, in_features)``."""
+        return self.weight.data.reshape(-1, self.out_features, self.in_features)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input (n, {self.in_features}), got {x.shape}"
             )
-        self._input = x
-        return (x @ self.weight.data.T + self.bias.data) * self.out_mask
+        weight = self._weight_3d()
+        self._input = x.reshape(len(weight), -1, self.in_features)
+        bias = self.bias.data.reshape(-1, 1, self.out_features)
+        out = np.matmul(self._input, weight.transpose(0, 2, 1)) + bias
+        return (out * self.out_mask).reshape(-1, self.out_features)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise RuntimeError("backward called before forward")
         grad_output = grad_output * self.out_mask
+        grad_3d = grad_output.reshape(len(self._input), -1, self.out_features)
         if self.weight.requires_grad:
-            self.weight.grad += grad_output.T @ self._input
+            grad_weight = np.matmul(grad_3d.transpose(0, 2, 1), self._input)
+            self.weight.grad += grad_weight.reshape(self.weight.shape)
         if self.bias.requires_grad:
-            self.bias.grad += grad_output.sum(axis=0)
-        return grad_output @ self.weight.data
+            self.bias.grad += grad_3d.sum(axis=1).reshape(self.bias.shape)
+        grad_input = np.matmul(grad_3d, self._weight_3d())
+        return grad_input.reshape(-1, self.in_features)
 
     def apply_mask(self) -> None:
         """Zero parameters of masked output features in place."""

@@ -9,6 +9,10 @@ gradients already carry the ``1/n`` factor.
 implements the paper's Fig 10 study: regularizing *only the last
 convolutional layer* hardens the model against backdoors with less
 benign-accuracy cost than whole-network weight decay.
+
+Both losses are shape-agnostic over a megabatch wave's ``(K,) + shape``
+parameter stacks (:mod:`repro.nn.megabatch`); see
+:class:`CrossEntropyLoss` for the wave's ``(K, b, classes)`` logits.
 """
 
 from __future__ import annotations
@@ -59,6 +63,13 @@ class CrossEntropyLoss:
 
     ``forward`` consumes raw logits ``(n, num_classes)`` and labels
     ``(n,)``; ``backward`` returns ``(softmax - onehot) / n``.
+
+    A megabatch wave passes ``(K, b, num_classes)`` logits with
+    ``(K, b)`` labels: K clients' batches of ``b`` samples each.  The
+    gradient then divides by the per-client ``b``, so each client's
+    slice is exactly its serial gradient, and the loss value is the
+    mean of the K per-client losses.  The model itself still sees the
+    flat ``K*b`` batch; only the loss needs to know where clients split.
     """
 
     def __init__(self, l2_penalty: LayerL2Penalty | None = None) -> None:
@@ -67,30 +78,37 @@ class CrossEntropyLoss:
 
     def forward(self, logits: np.ndarray, labels: np.ndarray) -> float:
         labels = np.asarray(labels)
-        if logits.ndim != 2:
-            raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
-        if labels.shape != (logits.shape[0],):
+        if logits.ndim not in (2, 3):
+            raise ValueError(
+                f"logits must be 2-D (n, classes) or 3-D (K, b, classes), "
+                f"got shape {logits.shape}"
+            )
+        if labels.shape != logits.shape[:-1]:
             raise ValueError(
                 f"labels shape {labels.shape} does not match batch "
-                f"{logits.shape[0]}"
+                f"{logits.shape[:-1]}"
             )
-        probs = F.softmax(logits, axis=1)
+        probs = F.softmax(logits, axis=-1)
         self._cache = (probs, labels)
-        loss = F.stable_cross_entropy(logits, labels)
+        classes = logits.shape[-1]
+        loss = F.stable_cross_entropy(
+            logits.reshape(-1, classes), labels.reshape(-1)
+        )
         if self.l2_penalty is not None:
-            loss += self.l2_penalty.value()
+            clients = len(logits) if logits.ndim == 3 else 1
+            loss += self.l2_penalty.value() / clients
         return loss
 
     def backward(self) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         probs, labels = self._cache
-        n = probs.shape[0]
         grad = probs.copy()
-        grad[np.arange(n), labels] -= 1.0
+        rows = grad.reshape(-1, grad.shape[-1])
+        rows[np.arange(len(rows)), labels.reshape(-1)] -= 1.0
         if self.l2_penalty is not None:
             self.l2_penalty.add_gradients()
-        return grad / n
+        return grad / probs.shape[-2]
 
     __call__ = forward
 

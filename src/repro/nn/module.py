@@ -85,6 +85,10 @@ class Parameter:
     """
 
     requires_grad = True
+    #: True on a megabatch wave's parameters (:mod:`repro.nn.megabatch`),
+    #: whose ``data`` and ``grad`` carry a leading client axis ahead of
+    #: the layer's own shape.
+    stacked = False
 
     def __init__(self, data: np.ndarray, name: str = "") -> None:
         self.data = np.asarray(data, dtype=get_default_dtype())

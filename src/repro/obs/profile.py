@@ -67,10 +67,12 @@ def _layer_key(module, out) -> str:
     """Stable per-structure label: class name + defining shape.
 
     Parameterised layers are keyed on their first parameter's shape
-    (``Conv2d(8,1,3,3)``); parameter-free layers on the *output* shape
-    they produce, batch dimension excluded (``ReLU(8,4,4)``) — which
-    tells the two ReLUs of a CNN apart without depending on object
-    identity, so executor-made model clones aggregate into one row.
+    (``Conv2d(8,1,3,3)``) without a megabatch wave's leading client
+    axis, so a wave of any size lands in the serial row.
+    Parameter-free layers are keyed on the *output* shape they
+    produce, batch dimension excluded (``ReLU(8,4,4)``) — which tells
+    the two ReLUs of a CNN apart without depending on object identity,
+    so executor-made model clones aggregate into one row.
     The output shape (not input) is the anchor because it is the one
     shape forward and backward agree on: the gradient entering a
     layer's backward has that layer's output shape, so both directions
@@ -80,6 +82,8 @@ def _layer_key(module, out) -> str:
     for value in vars(module).values():
         if hasattr(value, "data") and hasattr(value, "grad"):
             shape = value.data.shape
+            if getattr(value, "stacked", False):
+                shape = shape[1:]  # a megabatch wave's client axis
             break
     else:
         shape = getattr(out, "shape", ())[1:]

@@ -211,7 +211,7 @@ class TestDefenseDeterminism:
                 DefenseConfig(
                     method=method, fine_tune=True, fine_tune_rounds=2
                 ),
-                executor=executor,
+                context=RunContext(executor=executor),
             )
             report = pipeline.run(model)
             return model.flat_parameters(), report, pipeline.events
@@ -382,4 +382,17 @@ class TestWorkerWatchdog:
     def test_gives_up_after_retry_budget(self):
         with ProcessExecutor(num_workers=1, max_task_retries=0) as executor:
             with pytest.raises(RuntimeError, match="re-dispatch"):
+                executor.map_clients(_always_die, [1])
+
+    @pytest.mark.parametrize(
+        "task_timeout,cause",
+        [(None, "workers keep dying$"), (30.0, "hanging past the 30.0s deadline")],
+    )
+    def test_retry_error_names_the_deadline_only_when_set(
+        self, task_timeout, cause
+    ):
+        with ProcessExecutor(
+            num_workers=1, task_timeout=task_timeout, max_task_retries=0
+        ) as executor:
+            with pytest.raises(RuntimeError, match=cause):
                 executor.map_clients(_always_die, [1])

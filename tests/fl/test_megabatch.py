@@ -28,6 +28,7 @@ from repro.fl.server import FederatedServer
 from repro.nn.megabatch import supports_megabatch, train_wave
 from repro.nn.serialization import clone_module
 from repro.obs import RingBufferSink, Telemetry, dumps_canonical
+from repro.obs.profile import LayerProfiler
 
 
 def build_world(
@@ -121,6 +122,9 @@ class TestEligibility:
             nn.Flatten(),
         )
         assert not supports_megabatch(with_norm)
+        # a stacked layer cannot tile one per-client mask sequence
+        with_dropout, _, _ = build_world(dropout=0.3)
+        assert not supports_megabatch(with_dropout)
 
     def test_wave_size_validation(self):
         with pytest.raises(ValueError, match="wave_size"):
@@ -179,18 +183,23 @@ class TestWaveParity:
         from repro.nn import megabatch
 
         waves = []
-        init = megabatch._WaveModel.__init__
+        clone = megabatch.clone_module
 
-        def tracking(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            waves.append(weakref.ref(self))
+        def tracking(model):
+            wave = clone(model)
+            # every layer owns its activation cache, so a freed layer
+            # has freed its cache; the parameters hold the K-stacks
+            waves.append([weakref.ref(m) for m in wave.modules()])
+            waves[-1] += [weakref.ref(p) for p in wave.parameters()]
+            return wave
 
-        monkeypatch.setattr(megabatch._WaveModel, "__init__", tracking)
+        monkeypatch.setattr(megabatch, "clone_module", tracking)
         model, clients, _ = build_world(num_clients=3)
         gc.disable()
         try:
             train_wave(model, clients, model.flat_parameters())
-            assert len(waves) == 1 and waves[0]() is None
+            assert len(waves) == 1
+            assert [ref() for ref in waves[0]] == [None] * len(waves[0])
         finally:
             gc.enable()
 
@@ -246,6 +255,33 @@ class TestWaveParity:
         for a, b in zip(serial, mega):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
+
+
+class TestWaveProfiling:
+    """The profiler sees a wave's layer calls under the serial keys."""
+
+    @staticmethod
+    def _profiled(executor):
+        model, clients, _ = build_world()
+        with LayerProfiler() as prof:
+            collect_updates(
+                executor, clients, model, model.flat_parameters(), round_index=0
+            )
+        return prof.stats
+
+    @pytest.mark.parametrize("wave_size,waves", [(64, 1), (4, 2), (2, 3)])
+    def test_wave_rows_merge_with_serial_rows(self, wave_size, waves):
+        serial = self._profiled(SerialExecutor())
+        wave = self._profiled(MegabatchExecutor(wave_size))
+        assert set(wave) == set(serial)
+        assert {key.split("(")[0] for key in wave} == {
+            "Conv2d", "ReLU", "MaxPool2d", "Flatten", "Linear"
+        }
+        # every wave trains 2 epochs x 3 minibatches (17 samples, batch
+        # 7): one call per layer and minibatch in each direction
+        for key, entry in wave.items():
+            assert entry["forward_calls"] == 6 * waves, key
+            assert entry["backward_calls"] == 6 * waves, key
 
 
 class TestTrainingParity:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
+from repro.nn.layers import MaxPool2d
 
 
 class TestConvOutputSize:
@@ -402,15 +403,8 @@ def pool_input(kind, shape, dtype, rng):
 
 class TestMaxPoolKernels:
     """The pool kernels against the argmax reference: values, sign bits
-    and strides, forward and backward, serial layer and megabatch twin."""
-
-    @staticmethod
-    def _pool(engine, kernel, stride):
-        from repro.nn.layers import MaxPool2d
-        from repro.nn.megabatch import _VMaxPool2d
-
-        layer = MaxPool2d(kernel, stride)
-        return layer if engine == "serial" else _VMaxPool2d(layer, None, {})
+    and strides, forward and backward, at a serial batch and at a
+    megabatch wave's flat ``K*b`` batch."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
@@ -423,7 +417,7 @@ class TestMaxPoolKernels:
     def test_matches_reference(self, dtype, kernel, stride, size, kind, engine, batch):
         rng = np.random.default_rng(kernel * 10 + stride)
         x = pool_input(kind, (batch, 4, size, size), dtype, rng)
-        pool = self._pool(engine, kernel, stride)
+        pool = MaxPool2d(kernel, stride)
         slow_out, slow_backward = reference_maxpool(x, kernel, stride)
         assert_bitwise(pool.forward(x), slow_out)
 
