@@ -343,7 +343,9 @@ def run_benchmark(
     utilization: dict[str, dict] = {}
     critical_path: list[dict] = []
     for engine in engines:
-        # serial and megabatch are both single-threaded coordinators
+        # serial and megabatch train in one process: megabatch splits
+        # only waves of SHARD_MIN_CLIENTS or more, and no preset's
+        # federation is that large
         effective_workers = 1 if engine in ("serial", "megabatch") else workers
         hub = Telemetry()
         ring = hub.add_sink(RingBufferSink())
@@ -875,8 +877,9 @@ def trace_run(scale: str, path: str, workers: int = 4, engine: str = "serial") -
     ring = hub.add_sink(RingBufferSink())
     hub.add_sink(JSONLSink(path))
     # recorded so trace analysis can compute wave utilization without
-    # being told the worker count out of band
-    hub.gauge("exec.workers", 1 if engine == "serial" else workers)
+    # being told the worker count out of band (one process for megabatch,
+    # as in run_benchmark)
+    hub.gauge("exec.workers", 1 if engine in ("serial", "megabatch") else workers)
     with make_executor(engine, workers) as executor:
         _warm_up(executor, workers)
         _run_engine(executor, scale, telemetry=hub)

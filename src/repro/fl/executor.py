@@ -43,15 +43,19 @@ on three rules, enforced by :func:`collect_updates` and
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import multiprocessing
+import os
 import time
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..nn.layers import Conv2d
 from ..nn.megabatch import supports_megabatch, train_wave
+from ..nn.module import get_profile_hook
 from ..nn.serialization import clone_module, strip_runtime_state
 from ..obs.telemetry import Telemetry, ensure_telemetry
 from .faults import ClientDropout
@@ -299,10 +303,30 @@ class ProcessExecutor(ClientExecutor):
         return f"ProcessExecutor(num_workers={self.num_workers}{deadline})"
 
 
+#: fewest clients in one vectorized wave before the wave is split with
+#: a worker process (measured at the service's shapes: DESIGN.md §13)
+SHARD_MIN_CLIENTS = 16
+
+#: fewest clients in one chunk of a split wave
+_CHUNK_MIN_CLIENTS = 4
+
+#: the array a new worker frees to raise glibc's mmap threshold
+_WARM_UP_BYTES = 16 << 20
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 class MegabatchExecutor(ClientExecutor):
     """Vectorized execution: one batched pass per wave of K homogeneous
     clients (:func:`repro.nn.megabatch.train_wave`), instead of K
-    Python-level training loops.
+    Python-level training loops, with large waves split between the
+    coordinator and a worker process.
 
     Training tasks are grouped by *megabatch signature* — identical
     dataset geometry and local-SGD hyper-parameters on a stock benign
@@ -320,12 +344,42 @@ class MegabatchExecutor(ClientExecutor):
     ``wave_size`` caps how many clients share one batched pass; larger
     waves amortize more Python/BLAS overhead but grow the activation
     working set linearly.
+
+    **Sharding.**  When more than one CPU is usable, a wave of at least
+    :data:`SHARD_MIN_CLIENTS` clients is cut into chunks of consecutive
+    clients and shared with one worker process, spawned through
+    :class:`ProcessExecutor`'s pool on the second call that has such a
+    wave (a caller that trains one wave never pays for a spawn).  The
+    worker takes chunks from the back of the list, holding the chunk it
+    runs and one more queued behind it; the coordinator trains the
+    serial fallbacks, then chunks from the front, and finally the queued
+    chunk if the worker has not started it.  A chunk is a smaller wave,
+    so each client's rows still come from per-slice GEMMs of the serial
+    shape and every delta and generator state is unchanged; the worker's
+    generator states come home in the result like
+    :class:`ProcessExecutor`'s.  Chunks go out only once the worker has
+    answered a warm-up task, so a cold spawn never stalls a round.  A
+    worker that dies or cannot start (for example because a
+    ``__main__`` without an ``if __name__ == "__main__"`` guard re-runs
+    in the child) costs no result: its chunks are trained in the
+    coordinator and sharding stays off for this executor.  While a
+    :class:`~repro.obs.profile.LayerProfiler` is installed every wave
+    runs in the coordinator, so the profiler sees every layer call.
+    ``close()``, context exit and garbage collection each stop the
+    worker.  No worker is spawned with one usable CPU.
     """
 
     def __init__(self, wave_size: int = 64) -> None:
         if wave_size < 1:
             raise ValueError(f"wave_size must be >= 1, got {wave_size}")
         self.wave_size = int(wave_size)
+        # the one-worker chunk-training pool, spawned on the second call
+        # with a wave worth splitting; _warm is its warm-up future
+        self._workers: ProcessExecutor | None = None
+        self._warm: concurrent.futures.Future | None = None
+        self._finalizer: weakref.finalize | None = None
+        self._split_wave_seen = False
+        self._sharding = True  # off for good once the worker fails
 
     def map_clients(self, fn: Callable, items: Iterable) -> list:
         items = list(items)
@@ -343,34 +397,164 @@ class MegabatchExecutor(ClientExecutor):
                 fallback.append(index)
             else:
                 groups.setdefault(signature, []).append(index)
+        waves = [
+            indices[start : start + self.wave_size]
+            for indices in groups.values()
+            for start in range(0, len(indices), self.wave_size)
+        ]
 
+        pool = self._shard_pool(max(map(len, waves), default=0))
+        local: list[list[int]] = []
+        pending: collections.deque = collections.deque()
+        for wave in waves:
+            if pool is None or len(wave) < SHARD_MIN_CLIENTS:
+                local.append(wave)
+            else:
+                pending.extend(self._chunks(wave))
+        inflight: list = []  # (future, chunk), in submission order
+
+        def top_up() -> None:
+            # the worker takes chunks from the back, holding one more
+            # than it runs; the coordinator takes from the front
+            while (
+                pending
+                and self._sharding
+                and sum(not f.done() for f, _ in inflight) <= 1
+            ):
+                chunk = pending.pop()
+                future = self._submit(pool, items, chunk)
+                if future is None:
+                    pending.append(chunk)
+                else:
+                    inflight.append((future, chunk))
+
+        top_up()
         for index in fallback:
             results[index] = _run_update(items[index])
-        for indices in groups.values():
-            for start in range(0, len(indices), self.wave_size):
-                chunk = indices[start : start + self.wave_size]
-                if len(chunk) == 1:
-                    results[chunk[0]] = _run_update(items[chunk[0]])
-                    continue
-                _, model, global_params, _, _ = items[chunk[0]]
-                clients = [items[index][0] for index in chunk]
-                begin = time.perf_counter()
-                deltas = train_wave(model, clients, np.asarray(global_params))
-                # one wall-clock measurement for the whole wave, reported
-                # as an equal per-task share (the canonical stream strips
-                # durations, so the split is parity-safe)
-                seconds = (time.perf_counter() - begin) / len(chunk)
-                for row, index in enumerate(chunk):
-                    results[index] = (
-                        "ok",
-                        deltas[row],
-                        _rng_state(clients[row]),
-                        seconds,
-                    )
+            top_up()
+        for wave in local:
+            _train_local(items, wave, results)
+            top_up()
+        while pending:
+            _train_local(items, pending.popleft(), results)
+            top_up()
+        # the queued chunk may not have started: train it here, so the
+        # worker holds only what it runs (if the worker reaches it anyway,
+        # its result goes unread)
+        for future, chunk in reversed(inflight):
+            unfinished = sum(
+                not f.done() and results[c[0]] is None for f, c in inflight
+            )
+            if unfinished <= 1:
+                break
+            if not future.done():
+                _train_local(items, chunk, results)
+        for future, chunk in inflight:
+            if results[chunk[0]] is not None:
+                continue
+            if self._sharding:
+                try:
+                    deltas, states, seconds = future.result()
+                except Exception:
+                    # a dead worker costs no result: its chunks train
+                    # here and later waves stay unsplit
+                    self._stop_sharding()
+            if not self._sharding:  # the pool is gone: no future resolves
+                _train_local(items, chunk, results)
+                continue
+            for row, index in enumerate(chunk):
+                results[index] = ("ok", deltas[row], states[row], seconds)
         return results
+
+    # -- sharding -----------------------------------------------------
+
+    def _shard_pool(self, largest_wave: int):
+        """The warm worker pool, or None when this call trains in-process.
+
+        Spawns the worker on the second call with a wave worth splitting
+        and returns None until it has answered its warm-up task.
+        """
+        if (
+            not self._sharding
+            or largest_wave < SHARD_MIN_CLIENTS
+            or get_profile_hook() is not None
+        ):
+            return None
+        if self._workers is None:
+            if _usable_cpus() < 2:
+                self._sharding = False
+                return None
+            if not self._split_wave_seen:
+                self._split_wave_seen = True
+                return None
+            self._workers = ProcessExecutor(num_workers=1)
+            self._finalizer = weakref.finalize(
+                self, self._workers._terminate_pool
+            )
+            try:
+                self._warm = self._workers._ensure_pool().submit(_warm_up)
+            except OSError:  # the system has no process to spare
+                self._stop_sharding()
+            return None
+        if not self._warm.done():
+            return None
+        if self._warm.exception() is not None:
+            self._stop_sharding()  # the worker could not start
+            return None
+        return self._workers._ensure_pool()
+
+    @staticmethod
+    def _chunks(wave: list[int]) -> list[list[int]]:
+        """Cut ``wave`` into runs of consecutive clients, each of at
+        least ``_CHUNK_MIN_CLIENTS`` (at the service's shapes, chunks of
+        8 were no faster and chunks of 12 slower: DESIGN.md §13)."""
+        count = len(wave) // _CHUNK_MIN_CLIENTS
+        bounds = np.linspace(0, len(wave), count + 1).astype(int)
+        return [wave[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def _submit(self, pool, items: list, chunk: list[int]):
+        """Queue one chunk for the worker; None when the pool is gone."""
+        _, model, global_params, _, _ = items[chunk[0]]
+        clients = [items[index][0] for index in chunk]
+        try:
+            return pool.submit(
+                _train_chunk, (model, clients, np.asarray(global_params))
+            )
+        except RuntimeError:  # the pool broke between waves
+            self._stop_sharding()
+            return None
+
+    def _stop_sharding(self) -> None:
+        self._sharding = False
+        if self._workers is not None:
+            self._workers._terminate_pool()
+
+    def close(self) -> None:
+        if self._finalizer is not None:
+            self._finalizer.detach()
+            self._workers.close()
+        self._workers, self._warm, self._finalizer = None, None, None
 
     def __repr__(self) -> str:
         return f"MegabatchExecutor(wave_size={self.wave_size})"
+
+
+def _train_local(items: list, chunk: list[int], results: list) -> None:
+    """Train ``chunk`` in this process: one batched pass, or the serial
+    task body for a lone client."""
+    if len(chunk) == 1:
+        results[chunk[0]] = _run_update(items[chunk[0]])
+        return
+    _, model, global_params, _, _ = items[chunk[0]]
+    clients = [items[index][0] for index in chunk]
+    begin = time.perf_counter()
+    deltas = train_wave(model, clients, np.asarray(global_params))
+    # one wall-clock measurement for the whole wave, reported as an
+    # equal per-task share (the canonical stream strips durations, so
+    # the split is parity-safe)
+    seconds = (time.perf_counter() - begin) / len(chunk)
+    for row, index in enumerate(chunk):
+        results[index] = ("ok", deltas[row], _rng_state(clients[row]), seconds)
 
 
 def _megabatch_signature(task, finite: dict[int, bool]) -> tuple | None:
@@ -476,6 +660,32 @@ def _run_update(task) -> tuple[str, object, dict | None, float]:
             time.perf_counter() - start,
         )
     return "ok", delta, _rng_state(client), time.perf_counter() - start
+
+
+def _warm_up() -> None:
+    """A worker's first task: unpickling it imports this module, so a
+    worker that answers is ready to train chunks.
+
+    It also frees one 16 MiB array.  Under glibc that raises the
+    process's dynamic mmap threshold above a chunk's scratch arrays, as
+    the coordinator's evaluation batches raise its own; without it every
+    step of a chunk maps and faults in fresh pages, and a worker trained
+    a chunk about twice as slowly as the coordinator.
+    """
+    np.empty(_WARM_UP_BYTES, dtype=np.uint8)  # freed at once
+
+
+def _train_chunk(payload) -> tuple[np.ndarray, list, float]:
+    """Train one chunk of a split wave in a worker process.
+
+    Returns the ``(K, dim)`` deltas, each client's final generator
+    state, and the per-client share of the chunk's wall-clock time.
+    """
+    model, clients, global_params = payload
+    start = time.perf_counter()
+    deltas = train_wave(model, clients, global_params)
+    seconds = (time.perf_counter() - start) / len(clients)
+    return deltas, [_rng_state(client) for client in clients], seconds
 
 
 def _run_report(task) -> tuple[str, object, dict | None, float]:

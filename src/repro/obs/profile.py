@@ -31,7 +31,9 @@ layer.  Enable it for a whole run with
 :class:`~repro.baselines.neural_cleanse.NeuralCleanse` all wrap their
 model work in :func:`maybe_profile`.  Worker processes never see the
 coordinator's hook, so process-pool client work is not profiled —
-profile under the serial executor for full coverage.
+profile under the serial executor for full coverage.  The megabatch
+engine needs no such care: while a profiler is installed it trains
+every wave in the coordinator instead of splitting it with workers.
 """
 
 from __future__ import annotations

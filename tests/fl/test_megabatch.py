@@ -7,14 +7,22 @@ identical** results to the serial per-client loop — per-client deltas,
 advanced RNG streams, aggregated model parameters, history traces and
 the canonical telemetry stream — across clean and faulty cohorts, and
 degrades to the serial task path whenever a client or model is not
-eligible for vectorization.
+eligible for vectorization.  The same holds when a wave is split
+between the coordinator and a worker process.
 """
+
+import concurrent.futures
+import gc
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.data.dataset import Dataset
+from repro.fl import executor as executor_module
 from repro.fl.client import Client, LocalTrainingConfig, megabatch_eligible
 from repro.fl.executor import (
     MegabatchExecutor,
@@ -40,6 +48,7 @@ def build_world(
     dropout=0.0,
     last_conv_l2=0.0,
     weight_decay=0.0,
+    pruned=False,
 ):
     """A fresh, fully seeded federation — identical on every call.
 
@@ -74,6 +83,8 @@ def build_world(
     ]
     if dropout:
         layers.insert(3, nn.Dropout(dropout, rng=np.random.default_rng(9)))
+    if pruned:
+        layers[0].out_mask[[0, 2]] = False
     model = nn.Sequential(*layers)
     return model, clients, dataset
 
@@ -89,6 +100,64 @@ def _wave(executor, **world_kwargs):
         executor, clients, model, model.flat_parameters(), round_index=0
     )
     return [value for _, value in outcomes], _rng_states(clients)
+
+
+def _assert_same_wave(a, b):
+    (deltas_a, rng_a), (deltas_b, rng_b) = a, b
+    assert len(deltas_a) == len(deltas_b)
+    for x, y in zip(deltas_a, deltas_b):
+        np.testing.assert_array_equal(x, y)
+    assert rng_a == rng_b
+
+
+#: clients of a wave above the threshold that splits it between processes
+SPLIT_CLIENTS = executor_module.SHARD_MIN_CLIENTS + 8
+
+
+def _cpus(monkeypatch, count):
+    """Pretend this process may run on ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _started(executor):
+    """Run two waves above the threshold, the second of which spawns the
+    executor's worker, and wait until the worker has answered its
+    warm-up task."""
+    for _ in range(2):
+        _wave(executor, num_clients=SPLIT_CLIENTS)
+    assert executor._warm is not None
+    executor._warm.result(timeout=120)
+    return executor
+
+
+def _local_clients(monkeypatch) -> list:
+    """Record every client the coordinator trains itself."""
+    trained = []
+    train_local = executor_module._train_local
+
+    def recording(items, chunk, results):
+        trained.extend(chunk)
+        train_local(items, chunk, results)
+
+    monkeypatch.setattr(executor_module, "_train_local", recording)
+    return trained
+
+
+def _kill_worker(_payload):
+    """Stands in for the chunk task body: the worker dies mid-wave."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.fixture(scope="module")
+def split_executor():
+    """One warm splitting executor for the module: spawning is costly.
+    Its worker is spawned as if two CPUs were usable, so the split path
+    runs on every machine."""
+    with MegabatchExecutor() as executor:
+        with pytest.MonkeyPatch.context() as patch:
+            _cpus(patch, 2)
+            _started(executor)
+        yield executor
 
 
 class TestEligibility:
@@ -261,8 +330,8 @@ class TestWaveProfiling:
     """The profiler sees a wave's layer calls under the serial keys."""
 
     @staticmethod
-    def _profiled(executor):
-        model, clients, _ = build_world()
+    def _profiled(executor, **world_kwargs):
+        model, clients, _ = build_world(**world_kwargs)
         with LayerProfiler() as prof:
             collect_updates(
                 executor, clients, model, model.flat_parameters(), round_index=0
@@ -282,6 +351,97 @@ class TestWaveProfiling:
         for key, entry in wave.items():
             assert entry["forward_calls"] == 6 * waves, key
             assert entry["backward_calls"] == 6 * waves, key
+
+    def test_split_wave_records_every_layer_call(
+        self, split_executor, monkeypatch
+    ):
+        """While a profiler is installed the whole wave trains in the
+        coordinator, so no layer call goes unseen in a worker."""
+        _cpus(monkeypatch, 1)
+        local = _local_clients(monkeypatch)
+        split = self._profiled(split_executor, num_clients=SPLIT_CLIENTS)
+        assert sorted(local) == list(range(SPLIT_CLIENTS))
+        unsplit = self._profiled(MegabatchExecutor(), num_clients=SPLIT_CLIENTS)
+
+        def calls(stats):
+            return {
+                key: (entry["forward_calls"], entry["backward_calls"])
+                for key, entry in stats.items()
+            }
+
+        assert calls(split) == calls(unsplit)
+
+
+class TestSplitWaves:
+    """A wave split between the coordinator and a worker process gives
+    the unsplit wave's and the serial loop's deltas and RNG states."""
+
+    @pytest.mark.parametrize(
+        "world_kwargs",
+        [
+            {},
+            {"pruned": True},
+            {"last_conv_l2": 0.01, "weight_decay": 1e-4},
+        ],
+        ids=["default", "pruned", "penalties"],
+    )
+    def test_split_matches_unsplit_and_serial(
+        self, split_executor, monkeypatch, world_kwargs
+    ):
+        kwargs = dict(world_kwargs, num_clients=SPLIT_CLIENTS)
+        serial = _wave(SerialExecutor(), **kwargs)
+        _cpus(monkeypatch, 1)
+        unsplit = _wave(MegabatchExecutor(), **kwargs)
+        local = _local_clients(monkeypatch)
+        split = _wave(split_executor, **kwargs)
+        assert len(local) < SPLIT_CLIENTS  # the worker trained a chunk
+        _assert_same_wave(split, serial)
+        _assert_same_wave(unsplit, serial)
+
+    def test_one_usable_cpu_spawns_nothing(self, monkeypatch):
+        _cpus(monkeypatch, 1)
+        before = set(multiprocessing.active_children())
+        executor = MegabatchExecutor()
+        serial = _wave(SerialExecutor(), num_clients=SPLIT_CLIENTS)
+        for _ in range(2):
+            _assert_same_wave(
+                _wave(executor, num_clients=SPLIT_CLIENTS), serial
+            )
+        assert executor._workers is None
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_one_split_wave_spawns_nothing(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        before = set(multiprocessing.active_children())
+        with MegabatchExecutor() as executor:
+            serial = _wave(SerialExecutor(), num_clients=SPLIT_CLIENTS)
+            _assert_same_wave(
+                _wave(executor, num_clients=SPLIT_CLIENTS), serial
+            )
+            assert executor._workers is None
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_garbage_collected_executor_stops_its_worker(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        executor = _started(MegabatchExecutor())
+        workers = list(executor._workers._pool._processes.values())
+        assert workers and all(worker.is_alive() for worker in workers)
+        del executor
+        gc.collect()
+        assert not set(workers) & set(multiprocessing.active_children())
+
+    def test_worker_killed_mid_wave_costs_no_result(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        executor = _started(MegabatchExecutor())
+        workers = list(executor._workers._pool._processes.values())
+        serial = _wave(SerialExecutor(), num_clients=SPLIT_CLIENTS)
+        monkeypatch.setattr(executor_module, "_train_chunk", _kill_worker)
+        _assert_same_wave(_wave(executor, num_clients=SPLIT_CLIENTS), serial)
+        assert not any(worker.is_alive() for worker in workers)
+        # splitting stays off: the next wave trains here, nothing respawns
+        _assert_same_wave(_wave(executor, num_clients=SPLIT_CLIENTS), serial)
+        assert executor._workers._pool is None
+        executor.close()
 
 
 class TestTrainingParity:
@@ -327,10 +487,10 @@ class TestTrainingParity:
 
 
 class TestTelemetryParity:
-    def _traced_training(self, executor):
+    def _traced_training(self, executor, **world_kwargs):
         hub = Telemetry()
         ring = hub.add_sink(RingBufferSink())
-        model, clients, dataset = build_world()
+        model, clients, dataset = build_world(**world_kwargs)
         faults = FaultModel(
             dropout_prob=0.2, corrupt_prob=0.15, stale_prob=0.1, seed=17
         )
@@ -354,3 +514,10 @@ class TestTelemetryParity:
         mega = self._traced_training(MegabatchExecutor(wave_size=4))
         assert serial  # non-empty
         assert mega == serial
+
+    def test_split_waves_stream_byte_identical(self, split_executor):
+        serial = self._traced_training(
+            SerialExecutor(), num_clients=SPLIT_CLIENTS
+        )
+        split = self._traced_training(split_executor, num_clients=SPLIT_CLIENTS)
+        assert split == serial
