@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.eval.parallel_bench import build_bench_world
+from repro.experiments.scale import build_bench_world
 from repro.fl.faults import FaultModel, wrap_clients
 from repro.fl.service import DefenseService, ServiceConfig
 from repro.fl.traffic import make_schedule

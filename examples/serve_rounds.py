@@ -27,7 +27,7 @@ import argparse
 
 import numpy as np
 
-from repro.eval.parallel_bench import build_bench_world
+from repro.experiments.scale import build_bench_world
 from repro.fl.faults import FaultModel, wrap_clients
 from repro.fl.service import DefenseService, ServiceConfig
 from repro.fl.traffic import (

@@ -17,19 +17,9 @@ python -m pytest -x -q -m slow
 echo "== trace round-trip (emit -> validate -> analyze) =="
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP"' EXIT
-python - "$TRACE_TMP/verify_trace.jsonl" <<'EOF'
-import sys
-from repro.eval.parallel_bench import trace_run
-from repro.obs.schema import validate_stream
-from repro.obs.sinks import read_events
-
-path = sys.argv[1]
-info = trace_run("smoke", path, workers=2, engine="serial")
-events = read_events(path)
-problems = validate_stream(events)
-assert not problems, problems
-print(f"trace ok: {info['num_events']} events, schema valid")
-EOF
+python -m repro.experiments.cli table1 --scale smoke \
+    --trace-out "$TRACE_TMP/verify_trace.jsonl"
+python scripts/trace.py --strict validate "$TRACE_TMP/verify_trace.jsonl"
 python scripts/trace.py summarize "$TRACE_TMP/verify_trace.jsonl" | head -20
 
 echo "== service (deadline-scheduled rounds under bursty traffic) =="
@@ -46,7 +36,7 @@ python scripts/trace.py --strict validate "$TRACE_TMP/matrix_trace.jsonl"
 
 echo "== network chaos (partition-heal drill, idempotent ingest) =="
 python - <<'EOF'
-from repro.eval.parallel_bench import build_bench_world
+from repro.experiments.scale import build_bench_world
 from repro.fl.faults import FaultModel, wrap_clients
 from repro.fl.service import DefenseService, ServiceConfig
 from repro.fl.traffic import make_drill
@@ -150,15 +140,6 @@ print(
 EOF
 python scripts/dashboard.py --series "$TRACE_TMP/metrics.jsonl"
 
-echo "== megabatch wave parity (vectorized vs serial, bitwise) =="
-python - <<'EOF'
-from repro.eval.parallel_bench import measure_cohort_scaling
-
-curve = measure_cohort_scaling(scale="smoke")
-for point in curve["points"]:
-    assert point["bitwise_identical"] is True, point
-    print(
-        f"cohort={point['clients']}: speedup={point['speedup']:.2f}x "
-        "bitwise ok"
-    )
-EOF
+echo "== megabatch wave parity (one 64-client vectorized wave vs serial, bitwise) =="
+python -m pytest -q \
+    "tests/fl/test_megabatch.py::TestWaveParity::test_deltas_and_rng_bitwise_identical[cohort-64]"

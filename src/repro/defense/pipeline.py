@@ -41,10 +41,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..eval.timers import StageTimer
-from ..fl.executor import ClientExecutor, collect_reports
+from ..fl.executor import collect_reports
 from ..nn.layers import Conv2d, Linear, Sequential
 from ..nn.serialization import apply_model_state, pack_model_state
-from ..obs.context import RunContext, warn_deprecated_kwarg
+from ..obs.context import RunContext
 from ..obs.profile import maybe_profile
 from ..persist.checkpoint import CheckpointManager, Snapshot
 from ..persist.state import (
@@ -190,10 +190,6 @@ class DefensePipeline:
         A :class:`~repro.obs.context.RunContext` carrying the telemetry
         hub and client-execution engine.  Results are bitwise identical
         across executors; stage timings come from telemetry spans.
-    executor:
-        Deprecated — pass ``context=RunContext(executor=...)`` instead.
-        Still honoured (with a :class:`DeprecationWarning`) when no
-        context supplies an executor.
     """
 
     def __init__(
@@ -202,7 +198,6 @@ class DefensePipeline:
         accuracy_fn: Callable[[Sequential], float],
         config: DefenseConfig | None = None,
         layer: Conv2d | Linear | None = None,
-        executor: ClientExecutor | None = None,
         context: RunContext | None = None,
     ) -> None:
         if not clients:
@@ -211,11 +206,9 @@ class DefensePipeline:
         self.accuracy_fn = accuracy_fn
         self.config = config or DefenseConfig()
         self.layer = layer
-        if executor is not None:
-            warn_deprecated_kwarg("DefensePipeline", "executor", "executor")
-        ctx = context if context is not None else RunContext(executor=executor)
+        ctx = context if context is not None else RunContext()
         self.context = ctx
-        self.executor = ctx.executor if ctx.executor is not None else executor
+        self.executor = ctx.executor
         self.telemetry = ctx.telemetry
         self.quarantined: set[int] = set()
         self.events: list[tuple[str, int, str]] = []  # (kind, client_id, detail)

@@ -3,8 +3,7 @@
 :class:`StageTimer` is now a thin adapter over telemetry spans
 (:mod:`repro.obs.telemetry`): each ``stage()`` block opens a real span
 on the timer's hub and the accumulated ``seconds`` are read back from
-that span, so Fig 9, ``parallel_bench`` and every other consumer of the
-timer measure with the same monotonic clock as the event stream.  The
+that span, so Fig 9 and every other consumer of the timer measure with the same monotonic clock as the event stream.  The
 public API (``seconds`` dict, ``stage()`` context manager, ``add``,
 ``total``) is unchanged; constructing a timer without a hub times
 against the shared null hub, which costs nothing and records nowhere.

@@ -8,7 +8,15 @@ maps paper artifact ids ("table1", "fig5", ...) to runners and the CLI
 from . import ablations
 from .common import FederatedSetup, build_setup, clone_model, evaluate_modes
 from .registry import EXPERIMENTS, run_experiment
-from .scale import BENCH, PAPER, SMOKE, ExperimentScale, get_scale
+from .scale import (
+    BENCH,
+    BENCH_PRESETS,
+    PAPER,
+    SMOKE,
+    ExperimentScale,
+    build_bench_world,
+    get_scale,
+)
 
 __all__ = [
     "ablations",
@@ -23,4 +31,6 @@ __all__ = [
     "SMOKE",
     "ExperimentScale",
     "get_scale",
+    "BENCH_PRESETS",
+    "build_bench_world",
 ]

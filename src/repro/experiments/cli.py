@@ -35,7 +35,7 @@ from ..obs.sinks import JSONLSink
 from ..obs.telemetry import Telemetry
 from ..persist import CheckpointManager
 from .registry import EXPERIMENTS, run_experiment
-from .scale import get_scale
+from .scale import BENCH_PRESETS, build_bench_world, get_scale
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--engine",
         default="serial",
-        choices=["serial", "thread", "process", "megabatch"],
+        choices=["serial", "process", "megabatch"],
         help="client-execution engine for local-training waves; "
         "'megabatch' vectorizes homogeneous clients into single "
         "batched tensor ops (default: serial)",
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         metavar="N",
-        help="pool size for the thread/process engines (default: 4)",
+        help="pool size for the process engine (default: 4)",
     )
     serve.add_argument(
         "--population",
@@ -224,7 +224,6 @@ def _build_client_pool(args, faults):
     """
     import numpy as np
 
-    from ..eval.parallel_bench import BENCH_PRESETS
     from ..fl.client import Client, LocalTrainingConfig
     from ..fl.faults import wrap_client
     from ..data.dataset import Dataset
@@ -265,11 +264,19 @@ def _build_client_pool(args, faults):
     return pool, sampler
 
 
+def _make_executor(engine: str, workers: int):
+    """The client-execution engine ``serve --engine`` names."""
+    from ..fl.executor import MegabatchExecutor, ProcessExecutor
+
+    if engine == "process":
+        return ProcessExecutor(num_workers=workers)
+    return MegabatchExecutor()
+
+
 def _run_serve(args, parser: argparse.ArgumentParser) -> int:
     """Boot the always-on defense service on the synthetic bench world."""
     from contextlib import ExitStack
 
-    from ..eval.parallel_bench import build_bench_world, make_executor
     from ..fl.faults import FaultModel, wrap_clients
     from ..fl.service import DefenseService, ServiceConfig
     from ..fl.traffic import make_schedule
@@ -352,7 +359,7 @@ def _run_serve(args, parser: argparse.ArgumentParser) -> int:
         with ExitStack() as stack:
             if args.engine != "serial":
                 context_kwargs["executor"] = stack.enter_context(
-                    make_executor(args.engine, args.workers)
+                    _make_executor(args.engine, args.workers)
                 )
             service = DefenseService(
                 model,

@@ -43,12 +43,11 @@ from ..eval.metrics import (  # noqa: F401
 )
 from ..fl.aggregation import Aggregator, build_aggregator
 from ..fl.client import Client, LocalTrainingConfig, MaliciousClient
-from ..fl.executor import ClientExecutor
 from ..fl.faults import wrap_clients
 from ..fl.server import FederatedServer, TrainingHistory
 from ..nn.layers import Sequential
 from ..nn.zoo import build_model, fashion_cnn, mnist_cnn, vgg_small
-from ..obs.context import RunContext, current_context, warn_deprecated_kwarg
+from ..obs.context import RunContext, current_context
 from .scale import ExperimentScale
 
 __all__ = [
@@ -218,7 +217,6 @@ def build_setup(
     attack_start_fraction: float = 0.5,
     attack: str | AttackSpec | None = None,
     aggregator: str | Aggregator | None = None,
-    executor: ClientExecutor | None = None,
     context: RunContext | None = None,
 ) -> FederatedSetup:
     """Build, attack and train one federated run.
@@ -259,10 +257,6 @@ def build_setup(
         Fraction of the training rounds that run benignly before the
         attackers begin poisoning (model replacement is most effective
         near convergence; see MaliciousClient.attack_start_round).
-    executor:
-        Deprecated — pass ``context=RunContext(executor=...)`` instead.
-        Still honoured (with a :class:`DeprecationWarning`) when no
-        context supplies an executor.
     context:
         A :class:`~repro.obs.context.RunContext` carrying the telemetry
         hub, execution engine, and (optionally) a fault model to wrap
@@ -276,10 +270,8 @@ def build_setup(
         context ``watchdog`` guards the round loop (see
         :class:`~repro.fl.server.FederatedServer`).
     """
-    if executor is not None:
-        warn_deprecated_kwarg("build_setup", "executor", "executor")
     ctx = context if context is not None else current_context()
-    engine = ctx.executor if ctx.executor is not None else executor
+    engine = ctx.executor
     tel = ctx.telemetry
     attack_spec = build_attack(attack) if attack is not None else None
     if attack_spec is not None:
@@ -466,7 +458,6 @@ def evaluate_modes(
     setup: FederatedSetup,
     modes: tuple[str, ...] = MODE_ORDER,
     config: DefenseConfig | None = None,
-    executor: ClientExecutor | None = None,
     context: RunContext | None = None,
 ) -> dict[str, tuple[float, float]]:
     """(TA, AA) per requested mode, sharing the expensive stages.
@@ -485,16 +476,13 @@ def evaluate_modes(
     hub and the execution engine for the client-side stages (report
     collection and fine-tuning); results are bitwise identical across
     executors.  Each mode evaluation is wrapped in an ``eval.mode``
-    span.  ``executor`` is deprecated in favour of
-    ``context=RunContext(executor=...)``.
+    span.
     """
     unknown = set(modes) - set(MODE_ORDER)
     if unknown:
         raise ValueError(f"unknown modes: {sorted(unknown)}")
-    if executor is not None:
-        warn_deprecated_kwarg("evaluate_modes", "executor", "executor")
     ctx = context if context is not None else current_context()
-    engine = ctx.executor if ctx.executor is not None else executor
+    engine = ctx.executor
     tel = ctx.telemetry
     accuracy_fn = setup.accuracy_fn()
     results: dict[str, tuple[float, float]] = {}

@@ -13,11 +13,29 @@ round budget.  Three presets:
 
 The *shape* conclusions (who wins, by what factor) hold at BENCH scale;
 EXPERIMENTS.md records the measured numbers.
+
+The always-on service (``cli serve``, the service examples) runs on a
+smaller synthetic world instead: :func:`build_bench_world` builds it
+from the :data:`BENCH_PRESETS` entry of the same name.
 """
 
 from __future__ import annotations
 
-__all__ = ["ExperimentScale", "SMOKE", "BENCH", "PAPER", "get_scale"]
+import numpy as np
+
+from ..data.dataset import Dataset
+from ..fl.client import Client, LocalTrainingConfig
+from ..nn.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
+
+__all__ = [
+    "ExperimentScale",
+    "SMOKE",
+    "BENCH",
+    "PAPER",
+    "get_scale",
+    "BENCH_PRESETS",
+    "build_bench_world",
+]
 
 
 class ExperimentScale:
@@ -178,3 +196,68 @@ def get_scale(name: str) -> ExperimentScale:
         raise ValueError(
             f"unknown scale {name!r}; available: {sorted(_PRESETS)}"
         ) from None
+
+
+#: the synthetic service world per scale: an 8-client federation of
+#: random single-channel images over a two-conv network
+BENCH_PRESETS = {
+    "smoke": dict(
+        num_clients=8,
+        samples_per_client=30,
+        image_size=8,
+        num_classes=4,
+        conv_width=4,
+        local_epochs=1,
+        batch_size=16,
+        rounds=1,
+    ),
+    "bench": dict(
+        num_clients=8,
+        samples_per_client=200,
+        image_size=16,
+        num_classes=8,
+        conv_width=8,
+        local_epochs=2,
+        batch_size=32,
+        rounds=2,
+    ),
+}
+
+
+def build_bench_world(scale: str, seed: int = 5):
+    """A fresh, fully seeded ``(model, clients, dataset)`` service world."""
+    preset = BENCH_PRESETS[scale]
+    size = preset["image_size"]
+    classes = preset["num_classes"]
+    total = preset["num_clients"] * preset["samples_per_client"]
+
+    data_rng = np.random.default_rng(seed)
+    images = data_rng.random((total, 1, size, size))
+    labels = np.tile(np.arange(classes), total // classes + 1)[:total]
+    dataset = Dataset(images, labels)
+
+    config = LocalTrainingConfig(
+        lr=0.05,
+        momentum=0.9,
+        batch_size=preset["batch_size"],
+        local_epochs=preset["local_epochs"],
+    )
+    chunks = np.array_split(np.arange(total), preset["num_clients"])
+    clients = [
+        Client(i, dataset.subset(chunk), config, np.random.default_rng(100 + i))
+        for i, chunk in enumerate(chunks)
+    ]
+
+    width = preset["conv_width"]
+    model_rng = np.random.default_rng(seed + 1)
+    model = Sequential(
+        Conv2d(1, width, kernel_size=3, padding=1, rng=model_rng),
+        ReLU(),
+        MaxPool2d(2),
+        Conv2d(width, 2 * width, kernel_size=3, padding=1, rng=model_rng),
+        ReLU(),
+        MaxPool2d(2),
+        Flatten(),
+        Linear(2 * width * (size // 4) ** 2, classes, rng=model_rng),
+    )
+    return model, clients, dataset

@@ -32,8 +32,6 @@ rule returns exactly what it did before.
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import Mapping
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,7 +65,6 @@ __all__ = [
     "GeometricMedian",
     "RobustLR",
     "NormClip",
-    "AGGREGATION_RULES",
 ]
 
 
@@ -357,10 +354,9 @@ class Aggregator:
 class FunctionAggregator(Aggregator):
     """Adapter giving a bare ``matrix -> vector`` callable the protocol.
 
-    The wrapped function is invoked exactly as the legacy ``aggregate=``
-    kwarg invoked it — positional matrix only, no keyword context — so
-    behaviour and the canonical telemetry stream are bit-identical to
-    pre-protocol code.
+    The wrapped function is invoked with the positional matrix only,
+    no keyword context, so behaviour and the canonical telemetry stream
+    are bit-identical to calling the function directly.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]) -> None:
@@ -431,30 +427,6 @@ def build_aggregator(spec) -> Aggregator:
         raise ValueError(
             f"bad parameters for aggregator {name!r}: {exc}"
         ) from None
-
-
-def resolve_aggregator(owner: str, aggregate, aggregator) -> Aggregator:
-    """Resolve the deprecated ``aggregate=`` / new ``aggregator=`` pair.
-
-    ``aggregate`` (a bare callable, the pre-registry API) still works
-    but warns; ``aggregator`` takes a registry name, a spec string, a
-    callable, or an :class:`Aggregator` instance.  Passing both is an
-    error; passing neither builds the paper's FedAvg.
-    """
-    if aggregate is not None:
-        warnings.warn(
-            f"{owner}(aggregate=...) is deprecated; pass aggregator= "
-            f"(a registry name, 'name:param=value' spec string, or "
-            f"Aggregator instance) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if aggregator is not None:
-            raise ValueError(
-                "aggregate= and aggregator= are mutually exclusive"
-            )
-        aggregator = aggregate
-    return build_aggregator(aggregator if aggregator is not None else "fedavg")
 
 
 @register_aggregator("fedavg")
@@ -785,41 +757,3 @@ class NormClip(Aggregator):
     def load_state_dict(self, state: dict | None) -> None:
         if state:
             rng_state_from_jsonable(self._rng, state.get("rng"))
-
-
-class _RegistryRulesView(Mapping):
-    """Read-only ``name -> callable`` view over the aggregator registry.
-
-    Backward-compatibility shim for the old ``AGGREGATION_RULES`` dict:
-    the six original names still map to their bare functions (identical
-    objects to the pre-registry dict's values); every other registered
-    name maps to a freshly default-built :class:`Aggregator` instance,
-    which is itself callable over an update matrix.
-    """
-
-    _LEGACY = {
-        "fedavg": fedavg,
-        "median": coordinate_median,
-        "trimmed_mean": trimmed_mean,
-        "krum": krum,
-        "multi_krum": multi_krum,
-        "bulyan": bulyan,
-    }
-
-    def __getitem__(self, name: str):
-        legacy = self._LEGACY.get(name)
-        if legacy is not None:
-            return legacy
-        return _AGGREGATORS[name]()
-
-    def __iter__(self):
-        return iter(aggregator_names())
-
-    def __len__(self) -> int:
-        return len(_AGGREGATORS)
-
-    def __repr__(self) -> str:
-        return f"AGGREGATION_RULES({aggregator_names()})"
-
-
-AGGREGATION_RULES = _RegistryRulesView()

@@ -8,14 +8,13 @@ guarantees:
 
 * :class:`SerialExecutor` — the in-process loop (the default; exactly
   the historical behaviour).
-* :class:`ThreadExecutor` — a thread pool.  NumPy's BLAS releases the
-  GIL inside the im2col matmuls, so client training overlaps on
-  multi-core machines with zero serialization cost.
 * :class:`ProcessExecutor` — a spawn-based process pool for true
-  parallelism when the workload is Python-bound; payloads are made
-  spawn-safe by stripping transient layer state before pickling
+  parallelism; payloads are made spawn-safe by stripping transient
+  layer state before pickling
   (:func:`repro.nn.serialization.clone_module` /
   :func:`~repro.nn.serialization.strip_runtime_state`).
+* :class:`MegabatchExecutor` — vectorized waves of homogeneous clients,
+  split with one worker process on machines with a second CPU.
 
 All three expose one API — ``map_clients(fn, items)`` returning results
 in *item order* regardless of completion order — and all three are
@@ -63,7 +62,6 @@ from .faults import ClientDropout
 __all__ = [
     "ClientExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "MegabatchExecutor",
     "collect_updates",
@@ -78,7 +76,7 @@ class ClientExecutor:
     ``clones_payloads`` tells the orchestration helpers whether running
     a task already isolates its payload (process pools copy through
     pickling) or whether the task must clone the model itself (serial
-    and thread execution share the coordinator's address space).
+    and megabatch execution share the coordinator's address space).
     """
 
     clones_payloads = False
@@ -113,44 +111,6 @@ def _check_workers(num_workers: int) -> int:
     return int(num_workers)
 
 
-class ThreadExecutor(ClientExecutor):
-    """Thread-pool execution.
-
-    BLAS-heavy client work (the conv matmuls) releases the GIL, so this
-    gets real concurrency without any pickling; it is the cheapest
-    parallel option and the right first choice.  The pool is created
-    lazily and reused across rounds.
-    """
-
-    def __init__(self, num_workers: int = 4) -> None:
-        self.num_workers = _check_workers(num_workers)
-        self._pool: concurrent.futures.ThreadPoolExecutor | None = None
-
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.num_workers,
-                thread_name_prefix="repro-client",
-            )
-        return self._pool
-
-    def map_clients(self, fn: Callable, items: Iterable) -> list:
-        items = list(items)
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __repr__(self) -> str:
-        return f"ThreadExecutor(num_workers={self.num_workers})"
-
-
 class ProcessExecutor(ClientExecutor):
     """Process-pool execution (spawn start method) with a worker watchdog.
 
@@ -159,7 +119,9 @@ class ProcessExecutor(ClientExecutor):
     task payload is pickled, which is why payloads are stripped of
     transient layer caches before fan-out.  The pool is created lazily
     on first use and reused across rounds to amortize interpreter
-    start-up.
+    start-up.  Each worker frees one large array as it starts
+    (:func:`_warm_up`), so its training steps reuse heap pages instead
+    of mapping fresh ones.
 
     Worker death and hangs are survivable, not fatal.  A wave whose
     worker is killed (OOM reaper, SIGKILL) or misses the ``task_timeout``
@@ -214,6 +176,7 @@ class ProcessExecutor(ClientExecutor):
             self._pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.num_workers,
                 mp_context=multiprocessing.get_context("spawn"),
+                initializer=_warm_up,
             )
         return self._pool
 
@@ -358,7 +321,7 @@ class MegabatchExecutor(ClientExecutor):
     shape and every delta and generator state is unchanged; the worker's
     generator states come home in the result like
     :class:`ProcessExecutor`'s.  Chunks go out only once the worker has
-    answered a warm-up task, so a cold spawn never stalls a round.  A
+    answered a readiness ping, so a cold spawn never stalls a round.  A
     worker that dies or cannot start (for example because a
     ``__main__`` without an ``if __name__ == "__main__"`` guard re-runs
     in the child) costs no result: its chunks are trained in the
@@ -374,7 +337,7 @@ class MegabatchExecutor(ClientExecutor):
             raise ValueError(f"wave_size must be >= 1, got {wave_size}")
         self.wave_size = int(wave_size)
         # the one-worker chunk-training pool, spawned on the second call
-        # with a wave worth splitting; _warm is its warm-up future
+        # with a wave worth splitting; _warm is its readiness ping
         self._workers: ProcessExecutor | None = None
         self._warm: concurrent.futures.Future | None = None
         self._finalizer: weakref.finalize | None = None
@@ -384,7 +347,7 @@ class MegabatchExecutor(ClientExecutor):
     def map_clients(self, fn: Callable, items: Iterable) -> list:
         items = list(items)
         if fn is not _run_update:
-            # report collection, warm-ups, test stubs: nothing to batch
+            # report collection, pings, test stubs: nothing to batch
             return [fn(item) for item in items]
 
         results: list = [None] * len(items)
@@ -472,7 +435,7 @@ class MegabatchExecutor(ClientExecutor):
         """The warm worker pool, or None when this call trains in-process.
 
         Spawns the worker on the second call with a wave worth splitting
-        and returns None until it has answered its warm-up task.
+        and returns None until it has answered its readiness ping.
         """
         if (
             not self._sharding
@@ -492,7 +455,7 @@ class MegabatchExecutor(ClientExecutor):
                 self, self._workers._terminate_pool
             )
             try:
-                self._warm = self._workers._ensure_pool().submit(_warm_up)
+                self._warm = self._workers._ensure_pool().submit(_ready)
             except OSError:  # the system has no process to spare
                 self._stop_sharding()
             return None
@@ -627,7 +590,7 @@ def _rng_state(client) -> dict | None:
 def _restore_rng(client, state: dict | None) -> None:
     """Advance the coordinator's copy of the client stream to ``state``.
 
-    A no-op assignment for serial/thread execution (the worker already
+    A no-op assignment for in-process execution (the task already
     advanced the shared generator); the essential step for process
     execution, where the worker advanced a pickled copy.
     """
@@ -663,16 +626,20 @@ def _run_update(task) -> tuple[str, object, dict | None, float]:
 
 
 def _warm_up() -> None:
-    """A worker's first task: unpickling it imports this module, so a
-    worker that answers is ready to train chunks.
+    """Every pool worker's initializer: free one 16 MiB array.
 
-    It also frees one 16 MiB array.  Under glibc that raises the
-    process's dynamic mmap threshold above a chunk's scratch arrays, as
-    the coordinator's evaluation batches raise its own; without it every
-    step of a chunk maps and faults in fresh pages, and a worker trained
-    a chunk about twice as slowly as the coordinator.
+    Under glibc that raises the process's dynamic mmap threshold above
+    a training step's scratch arrays, as the coordinator's evaluation
+    batches raise its own; without it every step maps and faults in
+    fresh pages, and a worker trained a chunk about twice as slowly as
+    the coordinator.
     """
     np.empty(_WARM_UP_BYTES, dtype=np.uint8)  # freed at once
+
+
+def _ready() -> None:
+    """The readiness ping: a worker that answers it has run its
+    initializer and imported this module, so it is ready to train."""
 
 
 def _train_chunk(payload) -> tuple[np.ndarray, list, float]:

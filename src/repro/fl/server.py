@@ -49,7 +49,7 @@ from ..persist.state import (
     unpack_state_arrays,
 )
 from ..persist.watchdog import DivergenceWatchdog
-from .aggregation import Aggregator, resolve_aggregator
+from .aggregation import Aggregator, build_aggregator
 from .client import Client
 from .executor import ClientExecutor, collect_updates
 from .faults import validate_update
@@ -249,9 +249,6 @@ class FederatedServer:
         the paper's unweighted FedAvg mean.  Stateful rules
         (``"foolsgold"``, noised ``"norm_clip"``) have their cross-round
         state captured in checkpoints and restored on resume.
-    aggregate:
-        Deprecated spelling of ``aggregator`` (bare callable only);
-        emits a :class:`DeprecationWarning`.
     clients_per_round:
         Uniform random sample size per round; ``None`` selects everyone
         (the paper's default simplification).
@@ -324,7 +321,6 @@ class FederatedServer:
         clients: Sequence[Client],
         test_set: Dataset,
         backdoor_task: BackdoorTask | None = None,
-        aggregate: Callable[[np.ndarray], np.ndarray] | None = None,
         clients_per_round: int | None = None,
         sampler: ParticipationSampler | None = None,
         rng: np.random.Generator | None = None,
@@ -377,8 +373,8 @@ class FederatedServer:
         self.clients = clients if isinstance(clients, ClientPool) else list(clients)
         self.test_set = test_set
         self.backdoor_task = backdoor_task
-        self.aggregator = resolve_aggregator(
-            "FederatedServer", aggregate, aggregator
+        self.aggregator = build_aggregator(
+            aggregator if aggregator is not None else "fedavg"
         )
         self.clients_per_round = clients_per_round
         self.sampler = sampler
@@ -395,11 +391,6 @@ class FederatedServer:
         self._seq: dict[str, int] = {}  # "update:client_id" -> next seq
         self.quarantined: set[int] = set()
         self._strikes: dict[int, int] = {}
-
-    @property
-    def aggregate(self):
-        """Deprecated alias: the aggregator in its bare-callable form."""
-        return self.aggregator
 
     def select_clients(self, round_index: int | None = None) -> list[Client]:
         """The participants of the next round (quarantined excluded).

@@ -90,7 +90,7 @@ from ..persist.state import (
     shared_fault_model,
     unpack_state_arrays,
 )
-from .aggregation import Aggregator, resolve_aggregator
+from .aggregation import Aggregator, build_aggregator
 from .executor import dispatch_updates
 from .faults import validate_update
 from .sampling import ClientPool, ParticipationSampler
@@ -560,9 +560,6 @@ class DefenseService:
         instance, or a bare callable over the accepted delta matrix
         (default FedAvg).  Stateful rules have their cross-round state
         checkpointed alongside the service state.
-    aggregate:
-        Deprecated spelling of ``aggregator`` (bare callable only);
-        emits a :class:`DeprecationWarning`.
     traffic:
         A :class:`~repro.fl.traffic.TrafficPattern` adding arrival
         delays on top of fault-drawn straggler delays; ``None`` means
@@ -601,7 +598,6 @@ class DefenseService:
         test_set: Dataset,
         config: ServiceConfig | None = None,
         backdoor_task: BackdoorTask | None = None,
-        aggregate: Callable[[np.ndarray], np.ndarray] | None = None,
         traffic: TrafficPattern | None = None,
         network: SimulatedNetwork | None = None,
         sampler: ParticipationSampler | None = None,
@@ -628,8 +624,8 @@ class DefenseService:
         self.test_set = test_set
         self.config = config if config is not None else ServiceConfig()
         self.backdoor_task = backdoor_task
-        self.aggregator = resolve_aggregator(
-            "DefenseService", aggregate, aggregator
+        self.aggregator = build_aggregator(
+            aggregator if aggregator is not None else "fedavg"
         )
         self.traffic = traffic
         self.network = network
@@ -672,11 +668,6 @@ class DefenseService:
         self.degraded = False
         self._last_cleanse_round: int | None = None
         self._committed_rounds = 0
-
-    @property
-    def aggregate(self):
-        """Deprecated alias: the aggregator in its bare-callable form."""
-        return self.aggregator
 
     # -- selection -----------------------------------------------------
 

@@ -33,7 +33,7 @@ Every link draw derives a fresh generator from
 the message's identity: independent of executor engine, dispatch order,
 and how many draws other messages consumed.  Delivery is planned
 coordinator-side (like :class:`~repro.fl.faults.UpdatePlan`), so
-serial/thread/process/megabatch engines stay byte-identical.
+serial/process/megabatch engines stay byte-identical.
 
 A lossless :class:`LinkModel` with no partitions is *transparent*:
 :meth:`SimulatedNetwork.transmit` forwards the envelope at its send

@@ -18,10 +18,9 @@ the questions every perf/robustness PR needs a trace to answer:
   "speedup" (dispatch overhead and idle workers show up directly).
 * **What bounds the run?**  :meth:`~TraceAnalysis.critical_path` walks
   the tree root→leaf through the largest child at every level.
-* **Did this PR regress anything?**  :func:`diff` compares two traces
-  per span name against a configurable threshold; the bench regression
-  gate (``scripts/bench.py --baseline``) and ``scripts/trace.py diff``
-  are both built on it.
+* **Did this change regress anything?**  :func:`diff` compares two
+  traces per span name against a configurable threshold;
+  ``scripts/trace.py diff`` is built on it.
 
 The loader is tolerant by design: out-of-order records are re-sorted by
 ``seq``, spans whose parent never made it into the stream (a crashed

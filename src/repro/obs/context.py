@@ -19,15 +19,10 @@ Entry points accept ``context=`` and fall back to the *ambient* context
 :func:`~repro.experiments.registry.run_experiment` wraps around every
 runner), so experiment modules do not need a ``context`` parameter
 threaded through each signature.
-
-The old per-function keywords keep working for one release;
-:func:`warn_deprecated_kwarg` emits the ``DeprecationWarning`` that
-marks them for removal.
 """
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
@@ -45,7 +40,6 @@ __all__ = [
     "RunContext",
     "current_context",
     "use_context",
-    "warn_deprecated_kwarg",
 ]
 
 
@@ -152,13 +146,3 @@ def use_context(context: RunContext | None) -> Iterator[RunContext]:
         yield context
     finally:
         _CONTEXT_STACK.pop()
-
-
-def warn_deprecated_kwarg(func_name: str, kwarg: str, replacement: str) -> None:
-    """One consistent DeprecationWarning for a legacy keyword argument."""
-    warnings.warn(
-        f"{func_name}({kwarg}=...) is deprecated; pass "
-        f"RunContext({replacement}=...) via the context= parameter instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

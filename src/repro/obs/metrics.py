@@ -16,8 +16,8 @@ windows because nothing wall-clock ever enters them:
 * **Quantiles come from fixed-boundary histogram sketches**
   (:class:`HistogramSketch`): bucket counts are integers, merging is
   addition, and a quantile is always an exact bucket boundary — so the
-  p99 of a window is bitwise identical across serial/thread/process/
-  megabatch engines and across a crash/resume splice.
+  p99 of a window is bitwise identical across serial/process/megabatch
+  engines and across a crash/resume splice.
 * **The only duration folded is ``service.commit_latency``**, whose
   ``dur`` carries the *simulated* commit latency.  Wall-clock spans
   (``service.round`` itself, waves, evaluation) contribute counts only.

@@ -7,7 +7,12 @@ starts, and ``--max-rounds`` caps a *copy* of the scale preset.
 
 import pytest
 
-from repro.experiments.cli import _apply_max_rounds, build_parser, main
+from repro.experiments.cli import (
+    _apply_max_rounds,
+    _make_executor,
+    build_parser,
+    main,
+)
 from repro.experiments.scale import get_scale
 
 
@@ -121,6 +126,56 @@ class TestServe:
         with pytest.raises(SystemExit):
             main(["serve", "--scale", "paper"])
         assert "bench world" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["serial", "process", "megabatch"])
+    def test_engine_choices(self, engine):
+        args = build_parser().parse_args(["serve", "--engine", engine])
+        assert args.engine == engine
+
+    def test_thread_engine_retired(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--engine", "thread"])
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+    def test_make_executor_process_pool_size(self):
+        from repro.fl.executor import ProcessExecutor
+
+        with _make_executor("process", 3) as executor:
+            assert isinstance(executor, ProcessExecutor)
+            assert executor.num_workers == 3
+
+    def test_make_executor_megabatch(self):
+        from repro.fl.executor import MegabatchExecutor
+
+        with _make_executor("megabatch", 3) as executor:
+            assert isinstance(executor, MegabatchExecutor)
+
+    @pytest.mark.parametrize("engine", ["process", "megabatch"])
+    def test_serve_engine_stream_matches_serial(self, engine, tmp_path, capsys):
+        """Every engine serves the same rounds: identical summary lines
+        and a byte-identical canonical trace to the serial run."""
+        from repro.obs.schema import dumps_canonical
+        from repro.obs.sinks import read_events
+
+        def serve(name):
+            trace = tmp_path / f"{name}.jsonl"
+            assert main(
+                ["serve", "--scale", "smoke", "--service-rounds", "2",
+                 "--engine", name, "--workers", "2",
+                 "--trace-out", str(trace)]
+            ) == 0
+            lines = [
+                line for line in capsys.readouterr().out.splitlines()
+                if "engine:" not in line and "trace written" not in line
+                and "finished in" not in line
+            ]
+            return lines, dumps_canonical(read_events(str(trace)))
+
+        serial_lines, serial_stream = serve("serial")
+        lines, stream = serve(engine)
+        assert "rounds committed" in "\n".join(serial_lines)
+        assert lines == serial_lines
+        assert stream == serial_stream
 
     def test_serve_smoke_streams_rounds_and_trace(self, tmp_path, capsys):
         from repro.obs.analysis import load_trace

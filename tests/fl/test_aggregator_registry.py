@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.fl.aggregation import (
-    AGGREGATION_RULES,
     Aggregator,
     FoolsGold,
     FunctionAggregator,
@@ -14,6 +13,7 @@ from repro.fl.aggregation import (
     NormClip,
     RobustLR,
     TrimmedMean,
+    FedAvg,
     aggregator_names,
     build_aggregator,
     bulyan,
@@ -94,6 +94,23 @@ class TestBuildAggregator:
         u = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
         np.testing.assert_array_equal(agg(u), coordinate_median(u))
 
+    @pytest.mark.parametrize(
+        "name, fn",
+        [
+            ("fedavg", fedavg),
+            ("median", coordinate_median),
+            ("trimmed_mean", trimmed_mean),
+            ("krum", krum),
+            ("multi_krum", multi_krum),
+            ("bulyan", bulyan),
+        ],
+    )
+    def test_original_names_reproduce_bare_functions(self, name, fn, rng):
+        """Each of the six original rules, built by name with default
+        parameters, aggregates bit-for-bit like its bare function."""
+        updates = rng.standard_normal((9, 7))
+        np.testing.assert_array_equal(build_aggregator(name)(updates), fn(updates))
+
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown aggregator 'nope'"):
             build_aggregator("nope")
@@ -123,38 +140,6 @@ class TestAggregatorProtocol:
 
     def test_repr_carries_spec(self):
         assert "num_byzantine=2" in repr(build_aggregator("krum:num_byzantine=2"))
-
-
-class TestLegacyRulesView:
-    """AGGREGATION_RULES stays a mapping over every registered rule, and
-    the six original names still resolve to the original functions."""
-
-    LEGACY = {
-        "fedavg": fedavg,
-        "median": coordinate_median,
-        "trimmed_mean": trimmed_mean,
-        "krum": krum,
-        "multi_krum": multi_krum,
-        "bulyan": bulyan,
-    }
-
-    def test_legacy_names_map_to_original_functions(self):
-        for name, fn in self.LEGACY.items():
-            assert AGGREGATION_RULES[name] is fn
-
-    def test_new_rules_are_callable_members(self, rng):
-        u = rng.standard_normal((4, 3))
-        for name in NEW_RULES:
-            assert name in AGGREGATION_RULES
-            assert AGGREGATION_RULES[name](u).shape == (3,)
-
-    def test_iteration_covers_registry(self):
-        assert sorted(AGGREGATION_RULES) == aggregator_names()
-        assert len(AGGREGATION_RULES) == len(aggregator_names())
-
-    def test_read_only(self):
-        with pytest.raises(TypeError):
-            AGGREGATION_RULES["custom"] = fedavg
 
 
 class TestFoolsGold:
@@ -304,29 +289,7 @@ class TestNonFiniteFilteringNewRules:
         assert sorted(fg.history) == [7, 9]
 
 
-class TestDeprecatedAggregateKwarg:
-    def test_server_warns_and_still_works(self, tiny_world):
-        model, clients, dataset = tiny_world
-        with pytest.warns(DeprecationWarning, match="aggregate=.*deprecated"):
-            server = FederatedServer(
-                model, clients, dataset, aggregate=coordinate_median
-            )
-        assert isinstance(server.aggregator, FunctionAggregator)
-        assert server.aggregate is server.aggregator
-
-    def test_both_kwargs_rejected(self, tiny_world):
-        model, clients, dataset = tiny_world
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="mutually exclusive"):
-                FederatedServer(
-                    model,
-                    clients,
-                    dataset,
-                    aggregate=coordinate_median,
-                    aggregator="median",
-                )
-
+class TestServerAggregatorKwarg:
     def test_aggregator_spec_accepted(self, tiny_world):
         model, clients, dataset = tiny_world
         with warnings.catch_warnings():
@@ -335,6 +298,16 @@ class TestDeprecatedAggregateKwarg:
                 model, clients, dataset, aggregator="foolsgold"
             )
         assert isinstance(server.aggregator, FoolsGold)
+
+    def test_default_is_fedavg(self, tiny_world):
+        model, clients, dataset = tiny_world
+        server = FederatedServer(model, clients, dataset)
+        assert isinstance(server.aggregator, FedAvg)
+
+    def test_retired_aggregate_kwarg_rejected(self, tiny_world):
+        model, clients, dataset = tiny_world
+        with pytest.raises(TypeError, match="aggregate"):
+            FederatedServer(model, clients, dataset, aggregate=fedavg)
 
 
 @pytest.fixture

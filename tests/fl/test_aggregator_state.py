@@ -8,8 +8,8 @@ Two contracts on top of the kill-and-resume guarantees of
   newest snapshot is byte-identical to an uninterrupted run — the
   aggregator's cross-round state rides in the snapshot;
 * every new rule produces a canonical telemetry stream (and final
-  parameters) byte-identical across serial / thread / process /
-  megabatch engines, because aggregation happens on the coordinator.
+  parameters) byte-identical across serial / process / megabatch
+  engines, because aggregation happens on the coordinator.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from repro.fl.executor import (
     MegabatchExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
 )
 from repro.fl.server import FederatedServer
 from repro.obs.schema import dumps_canonical, unknown_names
@@ -175,7 +174,6 @@ class TestStatefulAggregatorResume:
 
 EXECUTORS = [
     pytest.param(lambda: SerialExecutor(), id="serial"),
-    pytest.param(lambda: ThreadExecutor(num_workers=2), id="thread"),
     pytest.param(lambda: ProcessExecutor(num_workers=2), id="process"),
     pytest.param(lambda: MegabatchExecutor(wave_size=4), id="megabatch"),
 ]

@@ -1,11 +1,14 @@
 """Determinism tests for the pluggable client-execution engine.
 
-The contract under test (see ``src/repro/fl/executor.py``): serial,
-thread and process execution produce **bitwise identical** results —
+The contract under test (see ``src/repro/fl/executor.py``): serial
+and process execution produce **bitwise identical** results —
 model parameters, metric traces, and the full fault log — for training
 rounds, defense report collection and federated fine-tuning, with and
 without injected client faults.
 """
+
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +22,6 @@ from repro.fl.client import Client, LocalTrainingConfig
 from repro.fl.executor import (
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     collect_updates,
 )
 from repro.fl.faults import FaultModel, wrap_clients
@@ -30,23 +32,16 @@ from repro.obs import RingBufferSink, RunContext, Telemetry, dumps_canonical
 # pools are module-scoped: process spawn is expensive (seconds per
 # worker on a busy box) and the pools are stateless between tests
 @pytest.fixture(scope="module")
-def thread_executor():
-    with ThreadExecutor(num_workers=2) as executor:
-        yield executor
-
-
-@pytest.fixture(scope="module")
 def process_executor():
     with ProcessExecutor(num_workers=2) as executor:
         yield executor
 
 
 @pytest.fixture
-def all_executors(thread_executor, process_executor):
-    """(name, executor) trio; None exercises the default serial path."""
+def all_executors(process_executor):
+    """(name, executor) pairs; None exercises the default serial path."""
     return [
         ("serial", None),
-        ("thread", thread_executor),
         ("process", process_executor),
     ]
 
@@ -129,16 +124,42 @@ class TestMapClients:
             with pytest.raises(RuntimeError, match="task three"):
                 executor.map_clients(_raise_on_three, [1, 2, 3, 4])
 
-    @pytest.mark.parametrize("cls", [ThreadExecutor, ProcessExecutor])
-    def test_invalid_worker_count(self, cls):
+    def test_invalid_worker_count(self):
         with pytest.raises(ValueError, match="num_workers"):
-            cls(num_workers=0)
+            ProcessExecutor(num_workers=0)
 
     def test_context_manager_closes_pool(self):
-        with ThreadExecutor(num_workers=2) as executor:
+        with ProcessExecutor(num_workers=1) as executor:
             executor.map_clients(_square, [1, 2, 3])
             assert executor._pool is not None
         assert executor._pool is None
+
+
+def _second_touch_faults(_):
+    """Minor page faults of the second of two 1 MiB allocate-touch-free
+    cycles in this process."""
+    import resource
+
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        np.ones(1 << 20, dtype=np.uint8)  # touched, then freed at once
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return faults
+
+
+class TestWorkerStartUp:
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux")
+        or platform.libc_ver()[0] != "glibc",
+        reason="glibc's dynamic mmap threshold is Linux/glibc behaviour",
+    )
+    def test_first_task_reuses_freed_pages(self):
+        """A new worker's 1 MiB scratch array comes from the heap, not
+        from a fresh mapping: its second use faults in (almost) nothing,
+        where 256 pages would fault under glibc's 128 KiB default."""
+        with ProcessExecutor(num_workers=1) as executor:
+            [faults] = executor.map_clients(_second_touch_faults, [0])
+        assert faults < 32, faults
 
 
 class TestTrainingDeterminism:
@@ -177,10 +198,10 @@ class TestTrainingDeterminism:
             np.testing.assert_array_equal(params, baseline_params, err_msg=name)
             assert history_log(history) == history_log(baseline_history), name
 
-    def test_zero_rates_neutral_under_parallel(self, thread_executor):
+    def test_zero_rates_neutral_under_parallel(self, process_executor):
         plain_params, plain_history = run_training(None)
         wrapped_params, wrapped_history = run_training(
-            thread_executor, faults=dict(seed=17)
+            process_executor, faults=dict(seed=17)
         )
         np.testing.assert_array_equal(wrapped_params, plain_params)
         assert history_log(wrapped_history) == history_log(plain_history)
@@ -284,7 +305,6 @@ class TestTelemetryParity:
             for name, executor in all_executors
         }
         assert streams["serial"]  # non-empty
-        assert streams["thread"] == streams["serial"]
         assert streams["process"] == streams["serial"]
 
     def test_defense_stream_byte_identical(self, all_executors):
@@ -307,7 +327,6 @@ class TestTelemetryParity:
 
         streams = {name: run(executor) for name, executor in all_executors}
         assert streams["serial"]
-        assert streams["thread"] == streams["serial"]
         assert streams["process"] == streams["serial"]
 
 

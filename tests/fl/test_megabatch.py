@@ -28,7 +28,6 @@ from repro.fl.executor import (
     MegabatchExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     collect_updates,
 )
 from repro.fl.faults import FaultModel, wrap_clients
@@ -210,8 +209,15 @@ class TestWaveParity:
             {"dropout": 0.3},  # per-client masks drawn from cloned rng
             {"last_conv_l2": 0.01, "weight_decay": 1e-4},
             {"batch_size": 64, "local_epochs": 1},  # single full batch
+            # one whole 64-client wave, one full batch per client
+            {
+                "num_clients": 64,
+                "samples_per_client": 16,
+                "batch_size": 16,
+                "local_epochs": 1,
+            },
         ],
-        ids=["default", "dropout", "penalties", "one-batch"],
+        ids=["default", "dropout", "penalties", "one-batch", "cohort-64"],
     )
     def test_deltas_and_rng_bitwise_identical(self, world_kwargs):
         serial_deltas, serial_rng = _wave(SerialExecutor(), **world_kwargs)
@@ -461,8 +467,6 @@ class TestTrainingParity:
         results = {}
         results["serial"] = self._train(SerialExecutor())
         results["megabatch"] = self._train(MegabatchExecutor(wave_size=4))
-        with ThreadExecutor(num_workers=2) as thread:
-            results["thread"] = self._train(thread)
         with ProcessExecutor(num_workers=2) as process:
             results["process"] = self._train(process)
         base_params, base_log = results["serial"]

@@ -14,7 +14,11 @@ from repro import nn
 from repro.data.dataset import Dataset
 from repro.fl.aggregation import fedavg
 from repro.fl.client import Client, LocalTrainingConfig
-from repro.fl.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.fl.executor import (
+    MegabatchExecutor,
+    ProcessExecutor,
+    SerialExecutor,
+)
 from repro.fl.faults import FaultModel, wrap_clients
 from repro.fl.server import FederatedServer
 from repro.obs.schema import dumps_canonical
@@ -78,8 +82,8 @@ def make_world(faulty: bool = False):
 
 EXECUTORS = [
     pytest.param(lambda: SerialExecutor(), id="serial"),
-    pytest.param(lambda: ThreadExecutor(num_workers=2), id="thread"),
     pytest.param(lambda: ProcessExecutor(num_workers=2), id="process"),
+    pytest.param(lambda: MegabatchExecutor(wave_size=4), id="megabatch"),
 ]
 
 

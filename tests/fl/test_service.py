@@ -15,7 +15,11 @@ import pytest
 from repro import nn
 from repro.data.dataset import Dataset
 from repro.fl.client import Client, LocalTrainingConfig
-from repro.fl.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.fl.executor import (
+    MegabatchExecutor,
+    ProcessExecutor,
+    SerialExecutor,
+)
 from repro.fl.faults import ClientDropout, FaultModel, wrap_clients
 from repro.fl.service import (
     DefenseService,
@@ -724,13 +728,11 @@ class TestChaosAcceptance:
         assert len(history.cleansed_rounds) >= 1
         assert b'"service.cleanse"' in stream
 
-    def test_thread_executor_bitwise_identical(self, serial_run):
+    def test_megabatch_executor_bitwise_identical(self, serial_run):
         _, _, params, stream = serial_run
-        _, _, thread_params, thread_stream = run_chaos(
-            lambda: ThreadExecutor(num_workers=3)
-        )
-        assert thread_params.tobytes() == params.tobytes()
-        assert thread_stream == stream
+        _, _, mega_params, mega_stream = run_chaos(MegabatchExecutor)
+        assert mega_params.tobytes() == params.tobytes()
+        assert mega_stream == stream
 
     @pytest.mark.slow
     def test_process_executor_bitwise_identical(self, serial_run):

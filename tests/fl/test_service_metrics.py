@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.fl.executor import SerialExecutor, ThreadExecutor
+from repro.fl.executor import MegabatchExecutor, SerialExecutor
 from repro.fl.service import DefenseService, ServiceConfig
 from repro.fl.transport import make_network
 from repro.obs.alerts import AlertRule, ServiceMetrics
@@ -159,14 +159,14 @@ class TestEngineParity:
             )
         return metrics, history, dumps_canonical(ring.events)
 
-    def test_serial_and_thread_runs_are_byte_identical(self):
+    def test_serial_and_megabatch_runs_are_byte_identical(self):
         serial = self.run_engine(SerialExecutor)
-        threaded = self.run_engine(lambda: ThreadExecutor(num_workers=3))
+        mega = self.run_engine(MegabatchExecutor)
         assert json.dumps(serial[0].series, sort_keys=True) == json.dumps(
-            threaded[0].series, sort_keys=True
+            mega[0].series, sort_keys=True
         )
-        assert serial[0].timeline == threaded[0].timeline
-        assert serial[2] == threaded[2]  # whole canonical stream
+        assert serial[0].timeline == mega[0].timeline
+        assert serial[2] == mega[2]  # whole canonical stream
 
 
 class TestDegradedAlertGate:

@@ -13,7 +13,7 @@ service-level contracts the layer exists for:
   back through the admission machinery after the heal, commit-or-degrade
   per policy, with no double aggregation;
 * **engine parity**: the fates are planned coordinator-side, so
-  serial/thread/megabatch runs over a lossy network stay bitwise equal;
+  serial/process/megabatch runs over a lossy network stay bitwise equal;
 * **trust x transport**: a quarantined client's stale-epoch retransmit
   is fenced — it neither re-scores trust nor perturbs probation;
 * **checkpoint/resume**: in-flight (partition-held) messages and the
@@ -504,6 +504,25 @@ class TestLosslessTransparency:
         assert history.to_jsonable() == direct_history.to_jsonable()
         assert stream == direct_stream
 
+    def test_lossless_network_does_no_per_message_work(self, monkeypatch):
+        """The lossless path costs nothing per message by construction:
+        over a whole service run the network plans no fate, draws no
+        lag, counts nothing and holds nothing."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a transparent network planned a message")
+
+        monkeypatch.setattr(LinkModel, "plan", refuse)
+        monkeypatch.setattr(LinkModel, "heal_lag", refuse)
+        network = make_network("lossless", seed=9)
+        _, history, _, stream = run_stub_service(
+            network, traffic=FixedTraffic({1: {2: 15.0}})
+        )
+        assert not any(network.stats.values())
+        assert network.latencies == [] and network.in_flight() == 0
+        assert not any(history.network_counts().values())
+        assert b'"net.' not in stream
+
     def test_gate_is_active_even_without_a_network(self):
         # seq/checksum are stamped on the direct path too: the fence
         # exists before any wire does
@@ -736,13 +755,7 @@ class TestCheckpointResumeTransport:
 
 def run_lossy_engine(executor_factory, seed=11, rounds=5):
     """A real (trained-client) service run over the chaos network."""
-    from repro.eval.parallel_bench import build_bench_world
-    from repro.fl.executor import (  # noqa: F401  (re-export for tests)
-        MegabatchExecutor,
-        ProcessExecutor,
-        SerialExecutor,
-        ThreadExecutor,
-    )
+    from repro.experiments.scale import build_bench_world
     from repro.fl.traffic import make_schedule
 
     model, clients, dataset = build_bench_world("smoke", seed=seed)
@@ -791,17 +804,6 @@ class TestLossyEngineParity:
         origins = history.aggregated_origins
         assert len(origins) == len(set(origins))
         assert b'"net.sent"' in stream
-
-    def test_thread_executor_bitwise_identical(self, serial_run):
-        from repro.fl.executor import ThreadExecutor
-
-        history, params, stream = serial_run
-        t_history, t_params, t_stream = run_lossy_engine(
-            lambda: ThreadExecutor(num_workers=3)
-        )
-        assert t_params.tobytes() == params.tobytes()
-        assert t_history.to_jsonable() == history.to_jsonable()
-        assert t_stream == stream
 
     def test_megabatch_executor_bitwise_identical(self, serial_run):
         from repro.fl.executor import MegabatchExecutor

@@ -1,4 +1,4 @@
-"""Tests for RunContext, the ambient-context stack, and kwarg deprecation."""
+"""Tests for RunContext and the ambient-context stack."""
 
 import warnings
 
@@ -14,7 +14,6 @@ from repro.obs import (
     current_context,
     use_context,
 )
-from repro.obs.context import warn_deprecated_kwarg
 
 
 class TestRunContext:
@@ -70,23 +69,8 @@ class TestAmbientContext:
         assert current_context() is before
 
 
-class TestDeprecatedKwargs:
-    def test_warn_deprecated_kwarg_message(self):
-        with pytest.warns(DeprecationWarning, match="build_setup.*executor"):
-            warn_deprecated_kwarg("build_setup", "executor", "executor")
-
-    def test_defense_pipeline_executor_kwarg_warns_but_works(self):
-        from repro.defense.pipeline import DefensePipeline
-        from tests.fl.test_executor import build_world
-
-        _, clients, _ = build_world()
-        executor = SerialExecutor()
-        with pytest.warns(DeprecationWarning, match="DefensePipeline"):
-            pipeline = DefensePipeline(clients, lambda m: 0.9, executor=executor)
-        assert pipeline.executor is executor
-        assert pipeline.telemetry is NULL_TELEMETRY
-
-    def test_defense_pipeline_context_preferred_no_warning(self):
+class TestDefensePipelineContext:
+    def test_defense_pipeline_takes_context_without_warning(self):
         from repro.defense.pipeline import DefensePipeline
         from tests.fl.test_executor import build_world
 
@@ -104,34 +88,28 @@ class TestDeprecatedKwargs:
         assert pipeline.executor is executor
         assert pipeline.telemetry is hub
 
-    def test_evaluate_modes_executor_kwarg_warns(self, monkeypatch):
-        import repro.experiments.common as common
-
-        # a minimal fake setup: only the 'training' branch runs, so all
-        # evaluate_modes needs is metrics()
-        class FakeSetup:
-            model = None
-
-            def accuracy_fn(self):
-                return lambda m: 1.0
-
-            def metrics(self, model=None):
-                return (1.0, 0.0)
-
-        with pytest.warns(DeprecationWarning, match="evaluate_modes"):
-            result = common.evaluate_modes(
-                FakeSetup(), modes=("training",), executor=SerialExecutor()
-            )
-        assert result == {"training": (1.0, 0.0)}
-
-    def test_build_setup_executor_kwarg_warns(self):
-        from repro.experiments.common import build_setup
+    @pytest.mark.parametrize(
+        "entry", ["build_setup", "evaluate_modes", "DefensePipeline"]
+    )
+    def test_retired_executor_kwarg_rejected(self, entry):
+        """The engine arrives only through the run context."""
+        from repro.defense.pipeline import DefensePipeline
+        from repro.experiments import common
         from repro.experiments.scale import SMOKE
 
-        with pytest.warns(DeprecationWarning, match="build_setup"):
-            build_setup(
-                "mnist", SMOKE, seed=3, rounds=1, executor=SerialExecutor()
-            )
+        calls = {
+            "build_setup": lambda ex: common.build_setup(
+                "mnist", SMOKE, executor=ex
+            ),
+            "evaluate_modes": lambda ex: common.evaluate_modes(
+                None, executor=ex
+            ),
+            "DefensePipeline": lambda ex: DefensePipeline(
+                [object()], lambda m: 0.9, executor=ex
+            ),
+        }
+        with pytest.raises(TypeError, match="executor"):
+            calls[entry](SerialExecutor())
 
 
 class TestContextThreading:

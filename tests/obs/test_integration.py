@@ -8,7 +8,8 @@ The acceptance contract for the observability layer:
 * re-running the same seed yields a byte-identical canonical stream
   (timestamps normalized away);
 * the NullTelemetry default keeps instrumentation overhead under 2% of
-  a small run.
+  a small run, and online metrics + alerting stay under 2% of a small
+  service run.
 """
 
 import time
@@ -16,8 +17,11 @@ import time
 import pytest
 
 from repro.defense.pipeline import DefenseConfig, DefensePipeline
+from repro.experiments.scale import BENCH_PRESETS, build_bench_world
 from repro.fl.faults import FaultModel, wrap_clients
 from repro.fl.server import FederatedServer
+from repro.fl.service import DefenseService, ServiceConfig
+from repro.fl.traffic import make_schedule
 from repro.obs import (
     NULL_TELEMETRY,
     JSONLSink,
@@ -28,6 +32,8 @@ from repro.obs import (
     read_events,
     validate_stream,
 )
+from repro.obs.alerts import AlertEngine, ServiceMetrics, default_rules
+from repro.obs.metrics import fold_records
 from tests.fl.test_executor import build_world
 
 
@@ -137,6 +143,21 @@ class TestReplayStability:
         assert blobs[0] == blobs[1]
 
 
+def train_and_cleanse(telemetry):
+    """The smoke service world's training round(s), then an MVP pruning
+    + adjust-weights pass, on the serial engine."""
+    model, clients, dataset = build_bench_world("smoke")
+    server = FederatedServer(model, clients, dataset, telemetry=telemetry)
+    server.train(BENCH_PRESETS["smoke"]["rounds"])
+    pipeline = DefensePipeline(
+        clients,
+        lambda m: 0.9,  # constant oracle: prunes the full order
+        DefenseConfig(method="mvp", fine_tune=False),
+        context=RunContext(telemetry=telemetry),
+    )
+    pipeline.run(model)
+
+
 class TestNullOverhead:
     def test_null_telemetry_overhead_under_two_percent(self):
         """Per-op null-hub cost x the ops a smoke run makes stays <2%.
@@ -155,25 +176,73 @@ class TestNullOverhead:
                 null.count("fl.rounds")
         per_op = (time.perf_counter() - start) / (ops * 4)
 
-        from repro.eval.parallel_bench import _run_engine, make_executor
-
         # self-calibrating op budget: count what an instrumented run of
         # the same workload actually emits, then allow 10x headroom
         hub = Telemetry()
         ring = hub.add_sink(RingBufferSink())
-        with make_executor("serial", 1) as executor:
-            _run_engine(executor, "smoke", telemetry=hub)
+        train_and_cleanse(hub)
         hub.close()
         ops_per_run = 10 * ring.num_emitted
 
-        with make_executor("serial", 1) as executor:
-            run_start = time.perf_counter()
-            _run_engine(executor, "smoke")  # telemetry=None -> null hub
-            run_seconds = time.perf_counter() - run_start
+        run_start = time.perf_counter()
+        train_and_cleanse(None)  # telemetry=None -> null hub
+        run_seconds = time.perf_counter() - run_start
 
         overhead_fraction = (per_op * ops_per_run) / run_seconds
         assert overhead_fraction < 0.02, (
             f"null-telemetry overhead {overhead_fraction:.2%} "
             f"({per_op * 1e9:.0f}ns/op x {ops_per_run} ops "
             f"vs {run_seconds:.3f}s run)"
+        )
+
+
+class TestMetricsOverhead:
+    def test_metrics_fold_and_alert_rules_under_two_percent(self):
+        """Folding a service run's stream into windows and evaluating the
+        default SLO rules costs under 2% of the run.
+
+        Measured like the null-hub claim above, not as a wall-clock
+        ratio of a metrics-on and a metrics-off run: the run's metrics
+        work is replayed on its own (the same records through a fresh
+        aggregator, the sealed windows through a fresh rule engine) and
+        compared with the run's wall-clock.
+        """
+        model, clients, dataset = build_bench_world("smoke")
+        faults = FaultModel(
+            straggler_prob=0.3,
+            straggler_delay=(1.0, 20.0),
+            deadline_seconds=10.0,
+            seed=7,
+        )
+        hub = Telemetry()
+        ring = hub.add_sink(RingBufferSink())
+        metrics = ServiceMetrics(round_interval=10.0)
+        service = DefenseService(
+            model,
+            wrap_clients(clients, faults),
+            dataset,
+            ServiceConfig(round_deadline=10.0, quorum=0.5, eval_every=0),
+            traffic=make_schedule("bursty", seed=8),
+            context=RunContext(telemetry=hub, fault_model=faults),
+            metrics=metrics,
+        )
+        run_start = time.perf_counter()
+        service.run(6)
+        run_seconds = time.perf_counter() - run_start
+        hub.close()
+
+        fold_start = time.perf_counter()
+        replay = fold_records(ring.events, round_interval=10.0)
+        engine = AlertEngine(default_rules())
+        for window in replay.series:
+            engine.evaluate(window)
+        fold_seconds = time.perf_counter() - fold_start
+
+        # the replay did exactly the run's metrics work
+        assert replay.series == metrics.series
+        assert engine.timeline == metrics.timeline
+        overhead_fraction = fold_seconds / run_seconds
+        assert overhead_fraction < 0.02, (
+            f"metrics overhead {overhead_fraction:.2%} ({fold_seconds:.4f}s "
+            f"for {len(ring.events)} records vs {run_seconds:.3f}s run)"
         )

@@ -35,7 +35,7 @@ from repro.defense.pipeline import DefenseConfig, DefensePipeline
 from repro.experiments.common import build_setup, clone_model
 from repro.experiments.scale import SMOKE
 from repro.fl.client import Client, LocalTrainingConfig
-from repro.fl.executor import ProcessExecutor, ThreadExecutor
+from repro.fl.executor import MegabatchExecutor, ProcessExecutor
 from repro.fl.faults import FaultModel, wrap_clients
 from repro.fl.server import FederatedServer
 from repro.nn.zoo import mnist_cnn
@@ -224,12 +224,16 @@ class TestChaosDefense:
         ta_before, _ = backdoored.metrics()
         assert ta >= min(ta_before, clean_report.pruning.baseline_accuracy) - 0.2
 
-    @pytest.mark.parametrize("executor_cls", [ThreadExecutor, ProcessExecutor])
+    @pytest.mark.parametrize(
+        "make_executor",
+        [lambda: ProcessExecutor(num_workers=2), MegabatchExecutor],
+        ids=["ProcessExecutor", "MegabatchExecutor"],
+    )
     def test_chaos_scenario_identical_under_parallel_executor(
-        self, executor_cls, ten_client_world
+        self, make_executor, ten_client_world
     ):
-        """The full fault cocktail replays bit-for-bit on a worker pool:
-        same params, same per-round fault log as the serial engine."""
+        """The full fault cocktail replays bit-for-bit on a parallel
+        engine: same params, same per-round fault log as the serial one."""
         world = ten_client_world
 
         def run(executor):
@@ -255,7 +259,7 @@ class TestChaosDefense:
         base_params, base_history = run(None)
         for client, state in zip(world.clients, states):
             client.rng.bit_generator.state = state
-        with executor_cls(num_workers=2) as executor:
+        with make_executor() as executor:
             params, history = run(executor)
 
         np.testing.assert_array_equal(params, base_params)
